@@ -20,6 +20,9 @@
 namespace millipage {
 namespace {
 
+// The ≤64-host (v0) codec every small cluster uses.
+constexpr WireCodec kCodec = WireCodec::For(64);
+
 // Header-only epoch arithmetic: what every single send and receive pays.
 void BenchTagOps(BenchReporter& reporter, const BenchEnv& env) {
   const int iters = env.Scaled(2'000'000, 50'000);
@@ -29,9 +32,10 @@ void BenchTagOps(BenchReporter& reporter, const BenchEnv& env) {
         // One send-side pack plus the receive-side unpack and staleness gate,
         // over a rolling epoch so the wraparound comparison is exercised.
         const uint32_t epoch = sink & 0x7ffu;
-        const uint16_t from = PackFromEpoch(3, epoch);
-        const uint32_t tag = FromEpochTag(from);
-        sink = sink + FromHost(from) + (EpochTagStale(tag, epoch & kEpochTagMask) ? 1u : 0u);
+        const uint16_t from = kCodec.Pack(3, epoch);
+        const uint32_t tag = kCodec.EpochTag(from);
+        sink = sink + kCodec.Host(from) +
+               (kCodec.TagStale(tag, epoch & kCodec.epoch_mask) ? 1u : 0u);
       },
       iters, 3);
   PrintRow("epoch tag pack+unpack+stale check", us, "n/a (new subsystem)");

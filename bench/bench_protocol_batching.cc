@@ -11,10 +11,13 @@
 // the completion ACKs — into multi-record frames. The block size equals the
 // host count on purpose: array a is written by host a/hosts but served by
 // shard a mod hosts, so at write step k every writer is in a round at shard
-// k mod hosts — the full writer population stacks at one shard at a time,
-// the burst depth the linger window (DsmConfig::batch_linger_us) exists to
-// fold. (A worker blocks inside each fault, so one writer alone can never
-// put two rounds in the air; depth comes only from distinct writers.)
+// k mod hosts — the full writer population stacks at one shard at a time.
+// The coalescer sends every open batch when the server's mailbox drains, so
+// a frame folds only the records already queued together at that moment:
+// the measured records/frame is the depth the concurrent rounds themselves
+// produce, with no wait added to deepen it. (A worker blocks inside each
+// fault, so one writer alone can never put two rounds in the air; depth
+// comes only from distinct writers.)
 //
 // Reported per (policy, batching) cell: wall time, write-segment datagrams
 // and bytes per write op (one host's write of one array — i.e., one

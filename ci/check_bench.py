@@ -3,10 +3,12 @@
 
 Hard failures (exit 1) are reserved for a broken harness: missing file,
 unparseable JSON, wrong schema, a bench document without the required
-fields — or a >10x ns/op regression versus ci/bench_baseline.json, which no
-amount of runner noise explains. Smaller swings are *soft*: CI runners are
-noisy shared VMs, so a >3x change only prints a warning (and a ::warning::
-annotation when running under GitHub Actions) and still exits 0.
+fields — a >10x ns/op regression versus ci/bench_baseline.json, which no
+amount of runner noise explains, or a violated paper shape claim
+(SHAPE_GATES, checked against the run itself so no baseline refresh can
+absorb it). Smaller swings are *soft*: CI runners are noisy shared VMs, so a
+>3x change only prints a warning (and a ::warning:: annotation when running
+under GitHub Actions) and still exits 0.
 
 Rows with ns_per_op <= 0 are structural (e.g. the Table 2 application
 characterization rows) and are skipped by the comparison.
@@ -29,6 +31,18 @@ SWING = 3.0
 # not scheduler noise. Only slowdowns hard-fail; a 10x speedup is suspicious
 # but legitimate (warned, and absorbed at the next --update).
 HARD_SWING = 10.0
+
+# The paper's Section 4.2 shape claims, as (lhs row, op, factor, rhs row) over
+# bench_sec42_dsm_costs: "lhs op factor * rhs" must hold on every run.
+SHAPE_BENCH = "bench_sec42_dsm_costs"
+SHAPE_GATES = [
+    # Write cost grows with the copyset it invalidates.
+    ("write fault invalidating 3 read copies", ">", 1.0,
+     "write fault invalidating 1 read copies"),
+    # An isolated write fault is a few message latencies, like a read fault.
+    ("write fault, 128-byte minipage (1 reader)", "<=", 3.0,
+     "read fault, 128-byte minipage"),
+]
 
 
 def fail(msg):
@@ -79,6 +93,30 @@ def flatten(doc):
     return rows
 
 
+def check_shape(doc):
+    """Fail on a violated SHAPE_GATES claim. Skipped when the bench is absent;
+    a present bench missing a gated row fails."""
+    results = next((b["results"] for b in doc["benches"] if b["bench"] == SHAPE_BENCH), None)
+    if results is None:
+        print(f"check_bench: {SHAPE_BENCH} absent; shape gates skipped")
+        return
+    us = {r["name"]: float(r["ns_per_op"]) / 1000.0 for r in results}
+    violated = []
+    for lhs, op, factor, rhs in SHAPE_GATES:
+        for name in (lhs, rhs):
+            if name not in us:
+                fail(f"{SHAPE_BENCH}: shape-gate row {name!r} missing")
+        holds = us[lhs] > factor * us[rhs] if op == ">" else us[lhs] <= factor * us[rhs]
+        claim = f"{lhs} ({us[lhs]:.1f} us) {op} {factor:g} x {rhs} ({us[rhs]:.1f} us)"
+        print(f"check_bench: shape {'ok' if holds else 'VIOLATED'}: {claim}")
+        if not holds:
+            violated.append(claim)
+    if violated:
+        for claim in violated:
+            print(f"::error::shape claim violated: {claim}")
+        fail(f"{len(violated)} paper shape claim(s) violated")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--bench", required=True, help="merged BENCH.json from bench_smoke")
@@ -96,6 +134,7 @@ def main():
         f"check_bench: {args.bench} OK "
         f"({len(doc['benches'])} benches, {len(rows)} comparable rows)"
     )
+    check_shape(doc)
 
     if args.update:
         baseline = {

@@ -36,6 +36,7 @@ def main():
     args = ap.parse_args()
 
     doc = check_bench.load_bench(args.bench_json)
+    check_bench.check_shape(doc)  # never launder a shape violation into the baseline
     rows = check_bench.flatten(doc)
 
     old_rows = {}

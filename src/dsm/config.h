@@ -90,20 +90,11 @@ struct DsmConfig {
   // destination (see BatchRecord in src/net/message.h). Off reproduces the
   // one-datagram-per-minipage paper protocol exactly; single-record batches
   // are emitted unbatched either way, so the wire format only changes when
-  // a frame actually carries more than one record.
+  // a frame actually carries more than one record. A batch is sent as soon
+  // as the server's mailbox drains (the sim flushes on a self-addressed
+  // kFlushHint instead), so it only ever folds records that were already
+  // queued together and never holds one back waiting for more.
   bool batch_coherence = true;
-
-  // Coalescer linger (threaded mode only): when the mailbox drains, a batch
-  // younger than this that holds fewer than batch_linger_min_records keeps
-  // accumulating instead of flushing — per-shard bursts otherwise drain one
-  // or two records at a time and never stack. Bounded: the server flushes
-  // any batch at its deadline even with no further traffic, so the worst
-  // case is one linger of added latency on a round's last record. 0 restores
-  // flush-on-every-drain. The deterministic sim ignores the linger (its
-  // kFlushHint flushes are forced), so checker-verified results are
-  // unchanged by construction.
-  uint64_t batch_linger_us = 100;
-  uint32_t batch_linger_min_records = 8;
 
   // Mesh transport backend for the multi-process mode
   // (src/net/transport_factory.h). kUring drives the same SEQPACKET mesh

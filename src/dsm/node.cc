@@ -723,18 +723,13 @@ void DsmNode::ServerLoop() {
         break;
     }
     if (HasOpenBatch()) {
-      // A batch is open: cap the wait at the earliest open batch's linger
-      // deadline, so coalescing collects bursts without ever holding a
-      // record past batch_linger_us (0 — a ripe batch — restores the old
-      // drain-and-flush). This must test for queued records, not
-      // coalesce_.empty(): flushed batches keep their (to, type) slot in
-      // the vector for reuse, and polling with no timeout on an *idle* node
-      // would turn the server into a busy-spinner and starve every other
-      // thread on the box.
-      const uint64_t delay_us = NextFlushDelayUs(MonotonicNowNs());
-      if (delay_us < timeout_us) {
-        timeout_us = delay_us;
-      }
+      // A batch is open: drain the mailbox without blocking, so the batch is
+      // sent the moment the server runs out of deliverable messages. This
+      // must test for queued records, not coalesce_.empty(): flushed batches
+      // keep their (to, type) slot in the vector for reuse, and polling with
+      // no timeout on an *idle* node would turn the server into a
+      // busy-spinner and starve every other thread on the box.
+      timeout_us = 0;
     }
     Result<bool> got = transport_->Poll(me_, &h, sink, timeout_us);
     if (!got.ok()) {
@@ -757,12 +752,10 @@ void DsmNode::ServerLoop() {
       HandleMessage(h);
       continue;
     }
-    // Mailbox drained: release the batches past the linger policy. Young,
-    // small batches keep accumulating — per-shard bursts otherwise flush one
-    // or two records at a time and never stack — bounded by the poll-timeout
-    // cap above, so the worst case is batch_linger_us of added latency on a
-    // round's final record.
-    FlushRipeCoalesced(MonotonicNowNs());
+    // Mailbox drained: send every open batch. Coalescing only ever folds
+    // records that were already queued behind each other, so it never delays
+    // traffic behind idle waiting.
+    FlushCoalesced();
     if (config_.service_mode == ServiceMode::kPeriodic) {
       ::usleep(static_cast<useconds_t>(config_.service_period_us));
     }
@@ -1014,17 +1007,11 @@ void DsmNode::SendCoalesced(HostId to, const MsgHeader& h) {
     }
   }
   if (batch == nullptr) {
-    coalesce_.push_back(PendingBatch{to, h.msg_type(), 0, {}});
+    coalesce_.push_back(PendingBatch{to, h.msg_type(), {}});
     batch = &coalesce_.back();
   }
   if (batch->items.size() >= kMaxBatchRecords) {
     SendBatch(*batch);
-  }
-  if (batch->items.empty()) {
-    // First record since the last flush: start this batch's linger clock.
-    // (Unused on externally-pumped nodes — their kFlushHint flushes are
-    // forced — so the wall-clock read never influences a simulated run.)
-    batch->opened_ns = MonotonicNowNs();
   }
   batch->items.push_back(h);
   // Externally-pumped node (no server loop): make sure a flush is coming.
@@ -1059,40 +1046,6 @@ void DsmNode::FlushCoalesced() {
     SendBatch(b);
   }
   transport_->EndBurst();
-}
-
-void DsmNode::FlushRipeCoalesced(uint64_t now_ns) {
-  const uint64_t linger_ns = config_.batch_linger_us * 1000;
-  transport_->BeginBurst();
-  for (PendingBatch& b : coalesce_) {
-    if (b.items.empty()) {
-      continue;
-    }
-    if (linger_ns == 0 || b.items.size() >= config_.batch_linger_min_records ||
-        now_ns - b.opened_ns >= linger_ns) {
-      SendBatch(b);
-    }
-  }
-  transport_->EndBurst();
-}
-
-uint64_t DsmNode::NextFlushDelayUs(uint64_t now_ns) const {
-  const uint64_t linger_ns = config_.batch_linger_us * 1000;
-  uint64_t best_ns = ~0ull;
-  for (const PendingBatch& b : coalesce_) {
-    if (b.items.empty()) {
-      continue;
-    }
-    if (linger_ns == 0 || b.items.size() >= config_.batch_linger_min_records) {
-      return 0;  // already ripe: drain without blocking, flush immediately
-    }
-    const uint64_t age = now_ns - b.opened_ns;
-    if (age >= linger_ns) {
-      return 0;
-    }
-    best_ns = std::min(best_ns, linger_ns - age);
-  }
-  return best_ns == ~0ull ? 0 : (best_ns + 999) / 1000;
 }
 
 void DsmNode::SendBatch(PendingBatch& b) {
@@ -2564,15 +2517,21 @@ Status DsmNode::LivenessFailure(const char* op, const Status& cause) {
 }
 
 std::string DsmNode::LivenessReport() const {
+  // Every down peer by id — a low-word mask would hide hosts >= 64.
+  const HostSet down = peers_down_set();
+  std::string s = "liveness{host=" + std::to_string(me_) +
+                  " peers_down{count=" + std::to_string(down.Count()) + " ids=";
+  const char* sep = "";
+  down.ForEach([&](uint32_t h) {
+    s += sep + std::to_string(h);
+    sep = ",";
+  });
   char buf[256];
-  snprintf(buf, sizeof(buf),
-           "liveness{host=%u peers_down=0x%llx timeout_retries=%llu stale_replies=%llu "
-           "fault_retries=%llu",
-           me_, (unsigned long long)peers_down(),
+  snprintf(buf, sizeof(buf), "} timeout_retries=%llu stale_replies=%llu fault_retries=%llu",
            (unsigned long long)timeout_retries_.load(std::memory_order_relaxed),
            (unsigned long long)stale_replies_.load(std::memory_order_relaxed),
            (unsigned long long)fault_retries_.load(std::memory_order_relaxed));
-  std::string s = buf;
+  s += buf;
   if (directory_ != nullptr) {
     // Manager-side view: how much protocol state is wedged mid-transaction.
     // Racy snapshot (the directory belongs to the server thread), diagnostics

@@ -169,9 +169,6 @@ class DsmNode {
   // (readers may just observe a superseded snapshot).
   const HostSet& dead_set() const { return membership().dead; }
   const HostSet& live_set() const { return membership().live; }
-  // Legacy mask accessors (hosts 0..63 only) for diagnostics and tests.
-  uint64_t dead_mask() const { return dead_set().LowWord(); }
-  uint64_t live_mask() const { return live_set().LowWord(); }
   // True when a peer death is answered with epoch-bump recovery instead of
   // the sticky whole-cluster abort: sharded directory, recovery enabled. A
   // dead host 0 is always unrecoverable (it owns the MPT and allocator).
@@ -228,12 +225,7 @@ class DsmNode {
   uint64_t timeout_retries() const { return timeout_retries_.load(std::memory_order_relaxed); }
   // Late replies to abandoned attempts, discarded by generation check.
   uint64_t stale_replies() const { return stale_replies_.load(std::memory_order_relaxed); }
-  // Bitmask of peers this node has observed down (hosts 0..63 only — use
-  // peers_down_set() for the full set on large clusters).
-  uint64_t peers_down() const {
-    std::lock_guard<std::mutex> lock(peer_down_mu_);
-    return peer_down_.LowWord();
-  }
+  // Peers this node has observed down.
   HostSet peers_down_set() const {
     std::lock_guard<std::mutex> lock(peer_down_mu_);
     return peer_down_;
@@ -281,13 +273,6 @@ class DsmNode {
   // behind idle waiting.
   void SendCoalesced(HostId to, const MsgHeader& h);
   void FlushCoalesced();
-  // Linger-policy flush (threaded server only): sends the batches that are
-  // ripe — older than batch_linger_us or holding at least
-  // batch_linger_min_records — and leaves young, small ones accumulating.
-  // NextFlushDelayUs bounds the server's poll timeout so a lingering batch
-  // is never left waiting past its deadline.
-  void FlushRipeCoalesced(uint64_t now_ns);
-  uint64_t NextFlushDelayUs(uint64_t now_ns) const;
 
   // Manager role.
   bool MgrTranslate(MsgHeader* h);
@@ -491,7 +476,6 @@ class DsmNode {
   struct PendingBatch {
     HostId to = 0;
     MsgType type = MsgType::kAck;
-    uint64_t opened_ns = 0;  // MonotonicNowNs when the first record landed
     std::vector<MsgHeader> items;
   };
   void SendBatch(PendingBatch& b);

@@ -101,10 +101,6 @@ inline constexpr uint8_t kFlagBatched = 0x40;
 // they always agree on the codec; mod-64 epochs are ample — an epoch bump
 // consumes a host death, so wraparound needs 64 deaths with a 32-epoch-stale
 // datagram still in flight.
-inline constexpr uint16_t kHostIdMask = 0x3f;
-inline constexpr uint32_t kEpochTagShift = 6;
-inline constexpr uint32_t kEpochTagMask = 0x3ff;
-
 struct WireCodec {
   uint16_t host_mask;
   uint32_t epoch_shift;
@@ -129,17 +125,6 @@ struct WireCodec {
     return d != 0 && d < (epoch_mask + 1) / 2;
   }
 };
-
-// Legacy free functions: the v0 codec, kept for call sites that are
-// ≤64-host by construction (bench_epoch's tag micro-bench, old tests).
-inline uint16_t PackFromEpoch(HostId from, uint32_t epoch) {
-  return WireCodec::For(64).Pack(from, epoch);
-}
-inline HostId FromHost(uint16_t from) { return WireCodec::For(64).Host(from); }
-inline uint32_t FromEpochTag(uint16_t from) { return WireCodec::For(64).EpochTag(from); }
-inline bool EpochTagStale(uint32_t t, uint32_t now) {
-  return WireCodec::For(64).TagStale(t, now);
-}
 
 // Canonical shared address: (application view, offset within the memory
 // object). Identical on every host, so no pointer translation is needed

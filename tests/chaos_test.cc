@@ -338,7 +338,7 @@ TEST(Chaos, InjectedPeerDeathAbortsBlockedBarrier) {
   host1.join();
   ASSERT_FALSE(st1.ok());
   EXPECT_EQ(st1.code(), StatusCode::kUnavailable) << st1.ToString();
-  EXPECT_EQ(pair.n1->peers_down(), 1u);  // bit 0
+  EXPECT_EQ(pair.n1->peers_down_set(), HostSet::Single(0));
   // Sticky: everything after the abort fails fast, including fresh ops.
   const uint64_t t0 = MonotonicNowNs();
   EXPECT_FALSE(pair.n1->TryLock(3).ok());
@@ -346,7 +346,7 @@ TEST(Chaos, InjectedPeerDeathAbortsBlockedBarrier) {
   EXPECT_FALSE(pair.n1->health().ok());
   // The diagnostic snapshot names the failure state.
   const std::string report = pair.n1->LivenessReport();
-  EXPECT_NE(report.find("peers_down=0x1"), std::string::npos) << report;
+  EXPECT_NE(report.find("peers_down{count=1 ids=0}"), std::string::npos) << report;
 }
 
 // ---- In-process: a duplicated invalidate reply is absorbed, not fatal ------

@@ -596,5 +596,40 @@ TEST(Protocol, MetricsMoveAsProtocolRuns) {
   EXPECT_EQ(json.back(), '}');
 }
 
+TEST(Protocol, IsolatedWriteFaultCostsAFewMessageLatencies) {
+  // Section 4.2's shape: a write fault that invalidates one read copy is a
+  // few message latencies, the same order as a read fault. Nothing else is in
+  // flight, so a coalescer that holds records back waiting for a burst shows
+  // up here as a write several times slower than a read.
+  SetMetricsEnabled(true);
+  auto cluster = DsmCluster::Create(Cfg(2));
+  ASSERT_TRUE(cluster.ok());
+  GlobalPtr<int> p;
+  (*cluster)->RunOnManager([&](DsmNode&) { p = SharedAlloc<int>(32); });
+  constexpr int kRounds = 64;
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    for (int r = 0; r < kRounds; ++r) {
+      if (host == 0) {
+        p[0] = r;  // write fault: invalidates host 1's read copy
+      }
+      node.Barrier();
+      if (host == 1) {
+        EXPECT_EQ(p[0], r);  // read fault: fetches the minipage
+      }
+      node.Barrier();
+    }
+  });
+  const HistogramSnapshot rd = (*cluster)->node(1).read_fault_latency();
+  const HistogramSnapshot wr = (*cluster)->node(0).write_fault_latency();
+  ASSERT_GE(rd.count, uint64_t{kRounds});
+  ASSERT_GE(wr.count, uint64_t{kRounds - 1});
+  // Quantiles are power-of-two bucket bounds, so the bound passes any true
+  // ratio under 2× and fails any above 4×.
+  const uint64_t rd_p50 = rd.Quantile(0.5);
+  const uint64_t wr_p50 = wr.Quantile(0.5);
+  EXPECT_LE(wr_p50, 3 * rd_p50) << "write p50 " << wr_p50 << " ns vs read p50 " << rd_p50
+                                << " ns";
+}
+
 }  // namespace
 }  // namespace millipage

@@ -79,25 +79,11 @@ TEST(WireFormat, GoldenBytesSmallClusterEncoding) {
   }
 }
 
-// The v0 codec and the legacy free functions are the same encoding.
-TEST(WireFormat, LegacyHelpersMatchV0Codec) {
-  const WireCodec codec = WireCodec::For(64);
-  for (uint32_t host = 0; host < 64; host += 7) {
-    for (uint32_t epoch : {0u, 1u, 63u, 64u, 1023u, 5000u}) {
-      const uint16_t packed = PackFromEpoch(static_cast<HostId>(host), epoch);
-      EXPECT_EQ(packed, codec.Pack(static_cast<HostId>(host), epoch));
-      EXPECT_EQ(FromHost(packed), host);
-      EXPECT_EQ(FromEpochTag(packed), epoch & kEpochTagMask);
-      EXPECT_EQ(codec.Host(packed), host);
-      EXPECT_EQ(codec.EpochTag(packed), epoch & codec.epoch_mask);
-    }
-  }
-}
-
-// v1 (>64 hosts): 10-bit host ids round-trip with their 6-bit epoch tag for
-// every host id a kMaxHosts cluster can produce.
+// Host ids round-trip with their epoch tag for every host id a cluster can
+// produce: v0 (64 hosts, 10-bit tag) and v1 (>64 hosts, 10-bit host ids,
+// 6-bit tag).
 TEST(WireFormat, WideClusterRoundTrip) {
-  for (const uint32_t hosts : {65u, 100u, 1023u, 1024u}) {
+  for (const uint32_t hosts : {64u, 65u, 100u, 1023u, 1024u}) {
     const WireCodec codec = WireCodec::For(hosts);
     for (uint32_t host = 0; host < hosts; host += 13) {
       for (uint32_t epoch : {0u, 1u, 5u, 63u, 64u, 200u}) {
@@ -106,8 +92,8 @@ TEST(WireFormat, WideClusterRoundTrip) {
         EXPECT_EQ(codec.EpochTag(packed), epoch & codec.epoch_mask);
       }
     }
-    // Host 1023 with a max tag uses every bit of the field.
-    EXPECT_EQ(codec.Pack(1023, 63), 0xffffu);
+    // The largest host id with a max tag uses every bit of the field.
+    EXPECT_EQ(codec.Pack(codec.host_mask, codec.epoch_mask), 0xffffu);
   }
 }
 
