@@ -32,17 +32,28 @@ SWING = 3.0
 # but legitimate (warned, and absorbed at the next --update).
 HARD_SWING = 10.0
 
-# The paper's Section 4.2 shape claims, as (lhs row, op, factor, rhs row) over
-# bench_sec42_dsm_costs: "lhs op factor * rhs" must hold on every run.
-SHAPE_BENCH = "bench_sec42_dsm_costs"
+# The paper's shape claims, as (bench, lhs row, op, factor, rhs row): "lhs op
+# factor * rhs" must hold on every run.
 SHAPE_GATES = [
-    # Write cost grows with the copyset it invalidates.
-    ("write fault invalidating 3 read copies", ">", 1.0,
+    # Section 4.2: write cost grows with the copyset it invalidates.
+    ("bench_sec42_dsm_costs", "write fault invalidating 3 read copies", ">", 1.0,
      "write fault invalidating 1 read copies"),
-    # An isolated write fault is a few message latencies, like a read fault.
-    ("write fault, 128-byte minipage (1 reader)", "<=", 3.0,
+    # Section 4.2: an isolated write fault is a few message latencies, like a
+    # read fault.
+    ("bench_sec42_dsm_costs", "write fault, 128-byte minipage (1 reader)", "<=", 3.0,
      "read fault, 128-byte minipage"),
+    # Table 1: a header message is cheaper than a data message, and a data
+    # message's cost grows with its size.
+    ("bench_table1_basic_costs", "in-proc: header message send/recv (32 bytes)", "<", 1.0,
+     "in-proc: data message send/recv (4 KB)"),
+    ("bench_table1_basic_costs", "in-proc: data message send/recv (0.5 KB)", "<", 1.0,
+     "in-proc: data message send/recv (4 KB)"),
 ]
+OPS = {
+    ">": lambda a, b: a > b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+}
 
 
 def fail(msg):
@@ -94,20 +105,20 @@ def flatten(doc):
 
 
 def check_shape(doc):
-    """Fail on a violated SHAPE_GATES claim. Skipped when the bench is absent;
-    a present bench missing a gated row fails."""
-    results = next((b["results"] for b in doc["benches"] if b["bench"] == SHAPE_BENCH), None)
-    if results is None:
-        print(f"check_bench: {SHAPE_BENCH} absent; shape gates skipped")
-        return
-    us = {r["name"]: float(r["ns_per_op"]) / 1000.0 for r in results}
+    """Fail on a violated SHAPE_GATES claim. A gate is skipped when its bench
+    is absent; a present bench missing a gated row fails."""
+    results = {b["bench"]: b["results"] for b in doc["benches"]}
     violated = []
-    for lhs, op, factor, rhs in SHAPE_GATES:
+    for bench, lhs, op, factor, rhs in SHAPE_GATES:
+        if bench not in results:
+            print(f"check_bench: {bench} absent; shape gate on {lhs!r} skipped")
+            continue
+        us = {r["name"]: float(r["ns_per_op"]) / 1000.0 for r in results[bench]}
         for name in (lhs, rhs):
             if name not in us:
-                fail(f"{SHAPE_BENCH}: shape-gate row {name!r} missing")
-        holds = us[lhs] > factor * us[rhs] if op == ">" else us[lhs] <= factor * us[rhs]
-        claim = f"{lhs} ({us[lhs]:.1f} us) {op} {factor:g} x {rhs} ({us[rhs]:.1f} us)"
+                fail(f"{bench}: shape-gate row {name!r} missing")
+        holds = OPS[op](us[lhs], factor * us[rhs])
+        claim = f"{lhs} ({us[lhs]:.3f} us) {op} {factor:g} x {rhs} ({us[rhs]:.3f} us)"
         print(f"check_bench: shape {'ok' if holds else 'VIOLATED'}: {claim}")
         if not holds:
             violated.append(claim)

@@ -32,12 +32,12 @@ inline constexpr uint32_t kBarrierShardId = 0xfffffffeu;
 
 // How a host's DSM server thread waits for messages (Section 3.5.1). The
 // paper's poller busy-loops at low priority and its sweeper wakes on a 1 ms
-// multimedia timer; on a general-purpose kernel a blocking wait with a short
-// timeout is both. kPeriodic reproduces the NT-timer ablation: the server
-// only looks at the network every `period_us`.
+// multimedia timer; on a general-purpose kernel the in-process transport's
+// receive wait is both: poll 100 µs, then park (InProcTransport::kPollWindowUs;
+// the socket and io_uring meshes only park). kPeriodic reproduces the NT-timer
+// ablation: the server only looks at the network every `period_us`.
 enum class ServiceMode {
-  kBlocking,  // block on the transport with a short timeout (default)
-  kBusyPoll,  // spin on non-blocking polls
+  kBlocking,  // poll briefly, then block on the transport with a short timeout (default)
   kPeriodic,  // poll, then sleep period_us (models coarse timers)
 };
 

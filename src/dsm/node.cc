@@ -712,25 +712,15 @@ void DsmNode::ServerLoop() {
     // thread, so the detector (any thread) only posts a pending mask.
     ProcessPendingDeaths();
     MsgHeader h;
-    uint64_t timeout_us = 0;
-    switch (config_.service_mode) {
-      case ServiceMode::kBlocking:
-        timeout_us = 2000;
-        break;
-      case ServiceMode::kBusyPoll:
-      case ServiceMode::kPeriodic:
-        timeout_us = 0;
-        break;
-    }
-    if (HasOpenBatch()) {
-      // A batch is open: drain the mailbox without blocking, so the batch is
-      // sent the moment the server runs out of deliverable messages. This
-      // must test for queued records, not coalesce_.empty(): flushed batches
-      // keep their (to, type) slot in the vector for reuse, and polling with
-      // no timeout on an *idle* node would turn the server into a
-      // busy-spinner and starve every other thread on the box.
-      timeout_us = 0;
-    }
+    // kPeriodic never blocks (it sleeps below). Neither does an open batch:
+    // the mailbox is drained without blocking, so the batch is sent the
+    // moment the server runs out of deliverable messages. This must test for
+    // queued records, not coalesce_.empty(): flushed batches keep their
+    // (to, type) slot in the vector for reuse, and polling with no timeout on
+    // an *idle* node would turn the server into a busy-spinner and starve
+    // every other thread on the box.
+    const uint64_t timeout_us =
+        config_.service_mode == ServiceMode::kBlocking && !HasOpenBatch() ? 2000 : 0;
     Result<bool> got = transport_->Poll(me_, &h, sink, timeout_us);
     if (!got.ok()) {
       // A transient receive error (e.g. a reset from a dying peer) must not

@@ -3,10 +3,11 @@
 // because sem_wait/sem_post are async-signal-safe, and the faulting thread
 // waits from inside the SIGSEGV handler.
 //
-// Liveness layer: WaitFor bounds every wait with a deadline (sem_timedwait,
-// still async-signal-safe), and AbortAll wakes every current and future
-// waiter with a sticky error — the peer-down path that turns "hang at the
-// next barrier" into a prompt Status::Unavailable.
+// Liveness layer: WaitFor bounds every wait with a deadline (sem_clockwait
+// on CLOCK_MONOTONIC: the same futex wait as sem_timedwait, so still
+// async-signal-safe, and immune to wall-clock steps), and AbortAll wakes
+// every current and future waiter with a sticky error — the peer-down path
+// that turns "hang at the next barrier" into a prompt Status::Unavailable.
 //
 // The wire `seq` field carries more than the slot: the low byte is the slot
 // index and the high 24 bits a per-operation generation. A requester that
@@ -89,7 +90,7 @@ class WaitSlots {
     }
     struct timespec abs_deadline;
     if (timeout_ms > 0) {
-      clock_gettime(CLOCK_REALTIME, &abs_deadline);
+      clock_gettime(CLOCK_MONOTONIC, &abs_deadline);
       abs_deadline.tv_sec += static_cast<time_t>(timeout_ms / 1000);
       abs_deadline.tv_nsec += static_cast<long>((timeout_ms % 1000) * 1000000);
       if (abs_deadline.tv_nsec >= 1000000000L) {
@@ -123,7 +124,7 @@ class WaitSlots {
       if (aborted_.load(std::memory_order_acquire)) {
         return LeaveWait(s, abort_status());
       }
-      const int rc = timeout_ms > 0 ? sem_timedwait(&s.sem, &abs_deadline)
+      const int rc = timeout_ms > 0 ? sem_clockwait(&s.sem, CLOCK_MONOTONIC, &abs_deadline)
                                     : sem_wait(&s.sem);
       if (rc != 0) {
         if (errno == EINTR) {

@@ -1,9 +1,13 @@
 #include "src/net/inproc_transport.h"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
 #include "src/common/metrics.h"
+#include "src/common/time_util.h"
 
 namespace millipage {
 
@@ -34,6 +38,7 @@ Status InProcTransport::Send(HostId to, MsgHeader h, const void* payload, size_t
   {
     std::lock_guard<std::mutex> lock(box.mu);
     box.q.push_back(std::move(item));
+    box.queued.store(box.q.size(), std::memory_order_relaxed);
   }
   box.cv.notify_one();
   return Status::Ok();
@@ -52,13 +57,35 @@ Result<bool> InProcTransport::Poll(HostId me, MsgHeader* h, const PayloadSink& s
       if (timeout_us == 0) {
         return false;
       }
-      if (!box.cv.wait_for(lock, std::chrono::microseconds(timeout_us),
-                           [&box] { return !box.q.empty(); })) {
-        return false;
+      const uint64_t start_ns = MonotonicNowNs();
+      const uint64_t deadline_ns = start_ns + timeout_us * 1000;
+      // Poll before park: a mailbox that delivered recently is mid-exchange,
+      // and its next message is a protocol hop away. Watch the queued count
+      // without mu (senders never wait on a poller) and yield the CPU between
+      // checks, so a thread on the same vCPU with work still runs.
+      const uint64_t poll_until_ns =
+          std::min(box.last_delivery_ns + kPollWindowUs * 1000, deadline_ns);
+      if (start_ns < poll_until_ns) {
+        lock.unlock();
+        while (box.queued.load(std::memory_order_relaxed) == 0 &&
+               MonotonicNowNs() < poll_until_ns) {
+          sched_yield();
+        }
+        lock.lock();
+      }
+      if (box.q.empty()) {
+        const uint64_t now_ns = MonotonicNowNs();
+        if (now_ns >= deadline_ns ||
+            !box.cv.wait_for(lock, std::chrono::nanoseconds(deadline_ns - now_ns),
+                             [&box] { return !box.q.empty(); })) {
+          return false;
+        }
       }
     }
     item = std::move(box.q.front());
     box.q.pop_front();
+    box.queued.store(box.q.size(), std::memory_order_relaxed);
+    box.last_delivery_ns = MonotonicNowNs();
   }
   *h = item.h;
   if (item.h.has_payload()) {

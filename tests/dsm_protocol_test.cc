@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -348,14 +351,11 @@ TEST_P(ServiceModes, ProtocolWorksUnderEachServiceDiscipline) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ServiceModes,
-                         ::testing::Values(ServiceMode::kBlocking, ServiceMode::kBusyPoll,
-                                           ServiceMode::kPeriodic),
+                         ::testing::Values(ServiceMode::kBlocking, ServiceMode::kPeriodic),
                          [](const auto& info) {
                            switch (info.param) {
                              case ServiceMode::kBlocking:
                                return "blocking";
-                             case ServiceMode::kBusyPoll:
-                               return "busypoll";
                              case ServiceMode::kPeriodic:
                                return "periodic";
                            }
@@ -629,6 +629,37 @@ TEST(Protocol, IsolatedWriteFaultCostsAFewMessageLatencies) {
   const uint64_t wr_p50 = wr.Quantile(0.5);
   EXPECT_LE(wr_p50, 3 * rd_p50) << "write p50 " << wr_p50 << " ns vs read p50 " << rd_p50
                                 << " ns";
+}
+
+TEST(Protocol, IdleClusterDoesNotSpin) {
+  // The server's receive wait polls only for a short window after its last
+  // delivery, then parks. A window that never closed would keep all four
+  // servers spinning through the idle sleep (~2 CPU-seconds over 500 ms on
+  // four vCPUs); parked servers wake only on their 2 ms poll timeout.
+  auto cluster = DsmCluster::Create(Cfg(4));
+  ASSERT_TRUE(cluster.ok());
+  GlobalPtr<int> p;
+  (*cluster)->RunOnManager([&](DsmNode&) { p = SharedAlloc<int>(32); });
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    for (int r = 0; r < 8; ++r) {
+      if (host == static_cast<HostId>(r % 4)) {
+        p[0] = r;
+      }
+      node.Barrier();
+      EXPECT_EQ(p[0], r);
+      node.Barrier();
+    }
+  });
+  const auto cpu_ms = [] {
+    struct rusage ru;
+    getrusage(RUSAGE_SELF, &ru);
+    return (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * 1000.0 +
+           (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1000.0;
+  };
+  const double before_ms = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double idle_ms = cpu_ms() - before_ms;
+  EXPECT_LT(idle_ms, 250.0) << "process CPU while the cluster sat idle for 500 ms";
 }
 
 }  // namespace

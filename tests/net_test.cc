@@ -127,6 +127,50 @@ TEST(InProcTransportTest, BlockingPollWakesOnSend) {
   EXPECT_EQ(got.seq, 99u);
 }
 
+// Right after a delivery the mailbox is inside its poll window, which is
+// longer than this timeout: the poll must still give up at the timeout.
+TEST(InProcTransportTest, PollHonorsShortTimeoutAfterTraffic) {
+  InProcTransport t(2);
+  const auto no_sink = [](const MsgHeader&) -> std::byte* { return nullptr; };
+  MsgHeader h;
+  h.set_type(MsgType::kAck);
+  ASSERT_TRUE(t.Send(1, h, nullptr, 0).ok());
+  MsgHeader got;
+  auto polled = t.Poll(1, &got, no_sink, 1000000);
+  ASSERT_TRUE(polled.ok() && *polled);
+  const uint64_t t0 = MonotonicNowNs();
+  polled = t.Poll(1, &got, no_sink, /*timeout_us=*/10);
+  const uint64_t elapsed_ns = MonotonicNowNs() - t0;
+  ASSERT_TRUE(polled.ok());
+  EXPECT_FALSE(*polled);
+  EXPECT_LT(elapsed_ns, 5000000u);
+}
+
+// The window only decides how the wait starts: once it expires the poll parks
+// for the rest of its timeout, and a send after that still wakes it.
+TEST(InProcTransportTest, PollParksPastTheWindowUntilSend) {
+  InProcTransport t(2);
+  const auto no_sink = [](const MsgHeader&) -> std::byte* { return nullptr; };
+  MsgHeader h;
+  h.set_type(MsgType::kAck);
+  ASSERT_TRUE(t.Send(1, h, nullptr, 0).ok());
+  MsgHeader got;
+  auto polled = t.Poll(1, &got, no_sink, 1000000);
+  ASSERT_TRUE(polled.ok() && *polled);
+  std::thread sender([&t] {
+    ::usleep(20 * InProcTransport::kPollWindowUs);
+    MsgHeader late;
+    late.set_type(MsgType::kAck);
+    late.seq = 42;
+    ASSERT_TRUE(t.Send(1, late, nullptr, 0).ok());
+  });
+  polled = t.Poll(1, &got, no_sink, 2000000);
+  sender.join();
+  ASSERT_TRUE(polled.ok());
+  ASSERT_TRUE(*polled);
+  EXPECT_EQ(got.seq, 42u);
+}
+
 TEST(InProcTransportTest, RejectsBadHost) {
   InProcTransport t(2);
   MsgHeader h;
