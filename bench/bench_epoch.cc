@@ -20,9 +20,6 @@
 namespace millipage {
 namespace {
 
-// The ≤64-host (v0) codec every small cluster uses.
-constexpr WireCodec kCodec = WireCodec::For(64);
-
 // Header-only epoch arithmetic: what every single send and receive pays.
 void BenchTagOps(BenchReporter& reporter, const BenchEnv& env) {
   const int iters = env.Scaled(2'000'000, 50'000);
@@ -32,10 +29,10 @@ void BenchTagOps(BenchReporter& reporter, const BenchEnv& env) {
         // One send-side pack plus the receive-side unpack and staleness gate,
         // over a rolling epoch so the wraparound comparison is exercised.
         const uint32_t epoch = sink & 0x7ffu;
-        const uint16_t from = kCodec.Pack(3, epoch);
-        const uint32_t tag = kCodec.EpochTag(from);
-        sink = sink + kCodec.Host(from) +
-               (kCodec.TagStale(tag, epoch & kCodec.epoch_mask) ? 1u : 0u);
+        const uint16_t from = WireCodec::Pack(3, epoch);
+        const uint32_t tag = WireCodec::EpochTag(from);
+        sink = sink + WireCodec::Host(from) +
+               (WireCodec::TagStale(tag, epoch & WireCodec::kEpochMask) ? 1u : 0u);
       },
       iters, 3);
   PrintRow("epoch tag pack+unpack+stale check", us, "n/a (new subsystem)");

@@ -58,13 +58,6 @@ class HostSet {
     return s;
   }
 
-  // The set whose hosts 0..63 are the bits of `w` (legacy-mask interop).
-  static HostSet FromWord(uint64_t w) {
-    HostSet s;
-    s.w0_ = w;
-    return s;
-  }
-
   bool Contains(uint32_t h) const {
     CheckId(h);
     if (h < 64) {
@@ -124,7 +117,7 @@ class HostSet {
     return n;
   }
 
-  // Hosts 0..63 as a plain mask — legacy accessors and trace/log diagnostics.
+  // Hosts 0..63 as a plain mask, for trace fields and log diagnostics.
   uint64_t LowWord() const { return w0_; }
 
   // Lowest host id in the set; -1 when empty.

@@ -109,8 +109,7 @@ struct LockEntry {
   bool HasWaiter(HostId h) const {
     for (const MsgHeader& w : waiters) {
       // Queued waiters were stripped of their epoch tag at receive time, so
-      // `from` is a pure host id — no WireCodec re-masking (which would
-      // alias ids ≥ 64 under the v0 codec).
+      // `from` is a pure host id.
       if (w.from == h) {
         return true;
       }

@@ -64,7 +64,6 @@ Result<std::unique_ptr<DsmNode>> DsmNode::Create(const DsmConfig& config, HostId
 
 DsmNode::DsmNode(const DsmConfig& config, HostId me, Transport* transport)
     : config_(config),
-      codec_(WireCodec::For(config.num_hosts)),
       me_(me),
       uid_([] {
         static std::atomic<uint64_t> next{1};
@@ -175,7 +174,7 @@ Status DsmNode::TrySendMsg(HostId to, const MsgHeader& h, const void* payload, s
   // `from`); HandleMessage strips it on receive, so all internal logic sees
   // pure host ids. At epoch 0 the stamped field is bit-identical to the id.
   MsgHeader wire = h;
-  wire.from = codec_.Pack(codec_.Host(h.from), member_epoch());
+  wire.from = WireCodec::Pack(WireCodec::Host(h.from), member_epoch());
   Status st = transport_->Send(to, wire, payload, len);
   if (!st.ok() && st.code() == StatusCode::kUnavailable) {
     OnPeerDown(to);
@@ -183,8 +182,27 @@ Status DsmNode::TrySendMsg(HostId to, const MsgHeader& h, const void* payload, s
   return st;
 }
 
+Status DsmNode::TrySendRecords(HostId to, const MsgHeader* items, size_t n) {
+  MP_CHECK(n >= 1 && n <= kMaxBatchRecords) << "cannot frame " << n << " records";
+  if (n == 1) {
+    return TrySendMsg(to, items[0]);  // plain header, as in an unbatched run
+  }
+  BatchRecord recs[kMaxBatchRecords];
+  for (size_t i = 0; i < n; ++i) {
+    recs[i] = BatchRecord::From(items[i]);
+  }
+  MsgHeader frame = items[0];
+  frame.flags |= kFlagBatched;
+  counters_.batch_frames_sent++;
+  counters_.batch_records_sent += n;
+  return TrySendMsg(to, frame, recs, n * sizeof(BatchRecord));
+}
+
 void DsmNode::SendMsg(HostId to, const MsgHeader& h, const void* payload, size_t len) {
-  const Status st = TrySendMsg(to, h, payload, len);
+  LogSendFailure(to, h, TrySendMsg(to, h, payload, len));
+}
+
+void DsmNode::LogSendFailure(HostId to, const MsgHeader& h, const Status& st) {
   if (!st.ok() && !draining_.load(std::memory_order_acquire)) {
     MP_LOG(Error) << "host " << me_ << ": send " << MsgTypeName(h.msg_type()) << " to host "
                   << to << " failed: " << st.ToString();
@@ -415,28 +433,13 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
   }
   // Issue the whole group. With batching on, frames of up to kMaxBatchRecords
   // untranslated requests share one datagram (all bound for the MPT host, all
-  // carrying the same slot/generation); a single request goes out unbatched,
-  // bit-identical to the historical wire format.
+  // carrying the same slot/generation).
   size_t issued = 0;
   while (issued < reqs.size()) {
     const size_t n = config_.batch_coherence
                          ? std::min<size_t>(reqs.size() - issued, kMaxBatchRecords)
                          : 1;
-    Status st;
-    if (n == 1) {
-      st = TrySendMsg(kManagerHost, reqs[issued]);
-    } else {
-      std::vector<BatchRecord> recs;
-      recs.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        recs.push_back(BatchRecord::From(reqs[issued + i]));
-      }
-      MsgHeader frame = reqs[issued];
-      frame.flags |= kFlagBatched;
-      counters_.batch_frames_sent++;
-      counters_.batch_records_sent += n;
-      st = TrySendMsg(kManagerHost, frame, recs.data(), recs.size() * sizeof(BatchRecord));
-    }
+    const Status st = TrySendRecords(kManagerHost, &reqs[issued], n);
     if (!st.ok()) {
       (void)LivenessFailure("FetchGroup", st);
       break;
@@ -446,33 +449,20 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
   counters_.prefetches += issued;
   // Split transaction: collect the replies (any order) and ACK each one so
   // the manager releases the minipages. ACKs accumulate per owning shard and
-  // flush as batched frames — but a reply for a page-spanning minipage
-  // flushes immediately: its other pages' requests were not deduped above and
-  // are queued at the manager behind this very ACK. Each reply gets its own
+  // flush as batched frames — but with batching off every ACK flushes at
+  // once, and so does a reply for a page-spanning minipage: its other pages'
+  // requests were not deduped above and are queued at the manager behind
+  // this very ACK. Each reply gets its own
   // deadline; on failure the group is abandoned (outstanding replies become
   // stale by generation and are discarded + ACKed by the next wait on this
   // slot), with any accumulated ACKs flushed on the way out.
   std::vector<std::pair<HostId, std::vector<MsgHeader>>> acks;
   const auto flush_acks = [&] {
     for (auto& [to, items] : acks) {
-      if (items.empty()) {
-        continue;
+      if (!items.empty()) {
+        LogSendFailure(to, items[0], TrySendRecords(to, items.data(), items.size()));
+        items.clear();
       }
-      if (items.size() == 1) {
-        SendMsg(to, items[0]);
-      } else {
-        std::vector<BatchRecord> recs;
-        recs.reserve(items.size());
-        for (const MsgHeader& m : items) {
-          recs.push_back(BatchRecord::From(m));
-        }
-        MsgHeader frame = items[0];
-        frame.flags |= kFlagBatched;
-        counters_.batch_frames_sent++;
-        counters_.batch_records_sent += items.size();
-        SendMsg(to, frame, recs.data(), recs.size() * sizeof(BatchRecord));
-      }
-      items.clear();
     }
   };
   size_t collected = 0;
@@ -499,10 +489,6 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
       ack.addr = reply->addr;
       ack.minipage = reply->minipage;
       const HostId to = LiveManagerOf(ack.minipage);
-      if (!config_.batch_coherence) {
-        SendMsg(to, ack);
-        continue;
-      }
       auto it = std::find_if(acks.begin(), acks.end(),
                              [&](const auto& p) { return p.first == to; });
       if (it == acks.end()) {
@@ -512,7 +498,7 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
       it->second.push_back(ack);
       const bool spans_pages =
           reply->privbase / PageSize() != (reply->privbase + reply->pgsize - 1) / PageSize();
-      if (spans_pages || it->second.size() >= kMaxBatchRecords) {
+      if (!config_.batch_coherence || spans_pages || it->second.size() >= kMaxBatchRecords) {
         flush_acks();
       }
     }
@@ -663,17 +649,8 @@ uint64_t DsmNode::RetryTimeoutMs(const DsmConfig& cfg, HostId host, uint32_t att
 // ---- Server thread ---------------------------------------------------------
 
 namespace {
-// A frame whose payload is BatchRecords rather than minipage data. Restricted
-// to the four types the coalescer emits so the 0x40 bit's other meaning
-// (kFlagWriteFetch, LRC-only) can never be misread as a batch.
-bool IsBatchedFrame(const MsgHeader& h) {
-  if ((h.flags & kFlagBatched) == 0) {
-    return false;
-  }
-  const MsgType t = h.msg_type();
-  return t == MsgType::kInvalidateRequest || t == MsgType::kInvalidateReply ||
-         t == MsgType::kAck || t == MsgType::kReadRequest;
-}
+// A frame whose payload is BatchRecords rather than minipage data.
+bool IsBatchedFrame(const MsgHeader& h) { return (h.flags & kFlagBatched) != 0; }
 }  // namespace
 
 PayloadSink DsmNode::MakeServerSink() {
@@ -770,7 +747,7 @@ bool TraceOn() {
 
 void DsmNode::HandleMessage(const MsgHeader& raw) {
   // Strip the membership-epoch tag off the wire `from` field, then gate on
-  // it (the tag is the epoch mod the codec's modulus, compared circularly):
+  // it (the tag is the epoch mod 64, compared circularly):
   //   * anything from a host now known dead is pre-death traffic — discarded
   //     like a stale generation, so no obsolete grant or arrival from the
   //     dead host can corrupt post-recovery state;
@@ -781,15 +758,15 @@ void DsmNode::HandleMessage(const MsgHeader& raw) {
   //     traffic and are served normally, their replies staled by generation;
   //   * kEpochBump itself is always processed: it is how epochs advance.
   MsgHeader h = raw;
-  h.from = codec_.Host(raw.from);
+  h.from = WireCodec::Host(raw.from);
   if (h.msg_type() != MsgType::kEpochBump) {
     if (dead_set().Contains(h.from)) {
       stale_replies_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    const uint32_t tag = codec_.EpochTag(raw.from);
-    const uint32_t my_tag = member_epoch() & codec_.epoch_mask;
-    if (tag != my_tag && !codec_.TagStale(tag, my_tag)) {
+    const uint32_t tag = WireCodec::EpochTag(raw.from);
+    const uint32_t my_tag = member_epoch() & WireCodec::kEpochMask;
+    if (tag != my_tag && !WireCodec::TagStale(tag, my_tag)) {
       // A deferred batched frame keeps a private copy of its records:
       // batch_rx_ is shared scratch and the next poll overwrites it.
       DeferredMsg d;
@@ -941,12 +918,8 @@ void DsmNode::DispatchOne(const MsgHeader& h) {
     case MsgType::kShutdown:
       break;
     case MsgType::kEpochBump:
-      // minipage = new epoch; privbase = cumulative dead-host mask (≤64-host
-      // clusters) or one dead host id per datagram (>64-host clusters).
-      ApplyMembership(h.minipage,
-                      config_.num_hosts <= 64
-                          ? HostSet::FromWord(h.privbase)
-                          : HostSet::Single(static_cast<uint32_t>(h.privbase)),
+      // minipage = new epoch; privbase = one dead host id per datagram.
+      ApplyMembership(h.minipage, HostSet::Single(static_cast<uint32_t>(h.privbase)),
                       /*broadcast=*/false);
       break;
     case MsgType::kCopysetQuery:
@@ -975,6 +948,10 @@ void DsmNode::DispatchOne(const MsgHeader& h) {
     case MsgType::kBarrierProbeReply:
       MP_CHECK(OwnsShard(kBarrierShardId)) << "barrier probe reply at non-barrier shard";
       MgrHandleBarrierProbeReply(h);
+      break;
+    case MsgType::kDiffUpdate:
+    case MsgType::kDiffAck:
+      MP_CHECK(false) << "LRC-only " << MsgTypeName(h.msg_type()) << " reached a DsmNode";
       break;
   }
 }
@@ -1048,25 +1025,8 @@ void DsmNode::SendBatch(PendingBatch& b) {
     b.items.clear();
     return;
   }
-  if (b.items.size() == 1) {
-    // Single record: send the plain header, bit-identical to an unbatched
-    // protocol run (the v0 golden-bytes contract).
-    counters_.coalesced_msgs_sent++;
-    SendMsg(b.to, b.items[0]);
-    b.items.clear();
-    return;
-  }
-  std::vector<BatchRecord> recs;
-  recs.reserve(b.items.size());
-  for (const MsgHeader& m : b.items) {
-    recs.push_back(BatchRecord::From(m));
-  }
-  MsgHeader frame = b.items[0];
-  frame.flags |= kFlagBatched;
-  counters_.batch_frames_sent++;
-  counters_.batch_records_sent += recs.size();
   counters_.coalesced_msgs_sent++;
-  SendMsg(b.to, frame, recs.data(), recs.size() * sizeof(BatchRecord));
+  LogSendFailure(b.to, b.items[0], TrySendRecords(b.to, b.items.data(), b.items.size()));
   b.items.clear();
 }
 
@@ -2170,34 +2130,23 @@ void DsmNode::ApplyMembership(uint32_t epoch, const HostSet& dead, bool broadcas
                 << new_dead.LowWord() << std::dec << ")";
   if (broadcast) {
     // Tell every live peer before repairing, so per-pair FIFO delivers the
-    // bump ahead of any repair traffic (queries, probes) we send them. Small
-    // clusters broadcast the cumulative dead set as one mask (the original
-    // wire format, bit-identical); large clusters send one bump per dead
-    // host — cumulative, so a receiver that missed an earlier epoch still
-    // converges on the full dead set.
+    // bump ahead of any repair traffic (queries, probes) we send them. One
+    // bump per dead host, cumulative, so a receiver that missed an earlier
+    // epoch still converges on the full dead set.
     MsgHeader bump;
     bump.set_type(MsgType::kEpochBump);
     bump.from = me_;
     bump.seq = kNoWaitSlot;
     bump.minipage = new_epoch;
-    if (config_.num_hosts <= 64) {
-      bump.privbase = new_dead.LowWord();
-      live_set().ForEach([&](uint32_t host) {
-        if (host != me_) {
-          SendMsg(static_cast<HostId>(host), bump);
-        }
+    live_set().ForEach([&](uint32_t host) {
+      if (host == me_) {
+        return;
+      }
+      new_dead.ForEach([&](uint32_t d) {
+        bump.privbase = d;
+        SendMsg(static_cast<HostId>(host), bump);
       });
-    } else {
-      live_set().ForEach([&](uint32_t host) {
-        if (host == me_) {
-          return;
-        }
-        new_dead.ForEach([&](uint32_t d) {
-          bump.privbase = d;
-          SendMsg(static_cast<HostId>(host), bump);
-        });
-      });
-    }
+    });
   }
   newly_dead.ForEach([&](uint32_t d) { RepairAfterDeath(static_cast<HostId>(d)); });
   // Wake app threads: parked waiters re-send against the new membership

@@ -320,6 +320,13 @@ class DsmNode {
   // never sent.
   Status TrySendMsg(HostId to, const MsgHeader& h, const void* payload = nullptr,
                     size_t len = 0);
+  // Sends `n` (1..kMaxBatchRecords) same-type headers to `to`: one plain
+  // header when n == 1, otherwise one kFlagBatched frame whose records are
+  // the headers' per-minipage fields and whose type/flags/from/seq are
+  // items[0]'s. The one place batched frames are built and counted.
+  Status TrySendRecords(HostId to, const MsgHeader* items, size_t n);
+  // SendMsg's failure handling for a send whose Status the caller holds.
+  void LogSendFailure(HostId to, const MsgHeader& h, const Status& st);
 
   // ---- Liveness machinery ------------------------------------------------
 
@@ -395,9 +402,6 @@ class DsmNode {
   }
 
   const DsmConfig config_;
-  // Wire host/epoch split for this cluster size (v0 ≤64 hosts, v1 above);
-  // every datagram is stamped/stripped through it.
-  const WireCodec codec_;
   const HostId me_;
   // Process-unique id keying per-thread wait-slot caches (never reused, so
   // a node allocated at a dead node's address cannot inherit its slots).

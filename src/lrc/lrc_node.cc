@@ -9,6 +9,13 @@ namespace millipage {
 
 namespace {
 thread_local int tls_lrc_slot = -1;
+
+// A fetch's kind travels as its message type: a write fetch is a
+// kWriteRequest, answered with a kWriteReply.
+MsgType FetchReplyType(const MsgHeader& request) {
+  return request.msg_type() == MsgType::kWriteRequest ? MsgType::kWriteReply
+                                                      : MsgType::kReadReply;
+}
 }  // namespace
 
 Result<std::unique_ptr<LrcNode>> LrcNode::Create(const DsmConfig& config, HostId me,
@@ -187,13 +194,10 @@ bool LrcNode::OnFault(uint32_t view, uint64_t offset, bool is_write) {
   // Need the master copy. With known geometry go straight to the home;
   // otherwise route through the manager for MPT translation.
   MsgHeader h;
-  h.set_type(MsgType::kReadRequest);
+  h.set_type(is_write ? MsgType::kWriteRequest : MsgType::kReadRequest);
   h.from = me_;
   h.seq = ThreadSlot();
   h.addr = GlobalAddr{view, offset}.Pack();
-  if (is_write) {
-    h.flags |= kFlagWriteFetch;
-  }
   if (known) {
     h.flags |= kFlagForwarded;
     h.minipage = geometry.id;
@@ -298,6 +302,7 @@ void LrcNode::ServerLoop() {
 void LrcNode::HandleMessage(const MsgHeader& h) {
   switch (h.msg_type()) {
     case MsgType::kReadRequest:
+    case MsgType::kWriteRequest:
       if ((h.flags & kFlagForwarded) != 0) {
         ServeFetch(h);
       } else {
@@ -307,6 +312,7 @@ void LrcNode::HandleMessage(const MsgHeader& h) {
       }
       break;
     case MsgType::kReadReply:
+    case MsgType::kWriteReply:
       HandleFetchReply(h);
       break;
     case MsgType::kDiffUpdate:
@@ -367,8 +373,8 @@ void LrcNode::MgrHandleFetch(const MsgHeader& h) {
   if (home == h.from) {
     // Requester is the home: grant direct access to its master copy.
     MsgHeader reply = fwd;
-    reply.set_type(MsgType::kReadReply);
-    reply.flags = static_cast<uint8_t>((h.flags & kFlagWriteFetch) | kFlagHomeGrant);
+    reply.set_type(FetchReplyType(h));
+    reply.flags = kFlagHomeGrant;
     SendMsg(h.from, reply);
     return;
   }
@@ -452,8 +458,8 @@ void LrcNode::ServeFetch(const MsgHeader& h) {
     }
   }
   MsgHeader reply = h;
-  reply.set_type(MsgType::kReadReply);
-  reply.flags = static_cast<uint8_t>(h.flags & kFlagWriteFetch);
+  reply.set_type(FetchReplyType(h));
+  reply.flags = 0;
   SendMsg(h.from, reply, views_->PrivAddr(mp.offset), mp.length);
   std::lock_guard<std::mutex> lock(stats_mu_);
   counters_.fetches++;
@@ -485,7 +491,7 @@ void LrcNode::ApplyIncomingDiff(const MsgHeader& h, std::vector<std::byte> paylo
 
 void LrcNode::HandleFetchReply(const MsgHeader& h) {
   const Minipage mp = MinipageFromHeader(h);
-  const bool write_fetch = (h.flags & kFlagWriteFetch) != 0;
+  const bool write_fetch = h.msg_type() == MsgType::kWriteReply;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (local_mpt_->Lookup(mp.view, mp.offset) == nullptr) {

@@ -125,17 +125,17 @@ Status FaultyTransport::Send(HostId to, MsgHeader h, const void* payload, size_t
 
 bool FaultyTransport::ConsumeReceiveDrop(const MsgHeader& h) {
   // The header is raw off the wire: `from` still carries the sender's
-  // membership-epoch tag in its high bits, so decode the host id with the
-  // cluster's codec before consulting the dead set (a tagged id fed to
+  // membership-epoch tag in its high bits, so decode the host id once and
+  // match both the dead set and the drop rules on it (a tagged id fed to
   // HostSet directly would alias — or fatal past kMaxHosts).
-  const HostId from = WireCodec::For(inner_->num_hosts()).Host(h.from);
+  const HostId from = WireCodec::Host(h.from);
   std::lock_guard<std::mutex> lock(mu_);
   if (dead_.Contains(from)) {
     receives_dropped_++;
     return true;  // a dead peer's in-flight traffic never arrives
   }
   for (Filter& f : recv_drops_) {
-    if (f.remaining > 0 && Matches(f, h.from, h.type)) {
+    if (f.remaining > 0 && Matches(f, from, h.type)) {
       f.remaining--;
       receives_dropped_++;
       return true;
@@ -188,7 +188,7 @@ Result<bool> FaultyTransport::Poll(HostId me, MsgHeader* h, const PayloadSink& s
   if (!h->has_payload()) {
     // Stash a copy for re-delivery if a duplication rule matches. Match on
     // the decoded host id: the raw header still carries the epoch tag.
-    const HostId from = WireCodec::For(inner_->num_hosts()).Host(h->from);
+    const HostId from = WireCodec::Host(h->from);
     std::lock_guard<std::mutex> lock(mu_);
     for (Filter& f : recv_dups_) {
       if (f.remaining > 0 && Matches(f, from, h->type)) {

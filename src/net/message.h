@@ -51,10 +51,9 @@ enum class MsgType : uint8_t {
   kShutdown,
   // Membership / recovery protocol (host-death survival).
   kEpochBump,       // membership epoch advanced: minipage = new epoch;
-                    // privbase = cumulative dead-host mask (≤64-host
-                    // clusters, wire-compatible with the original format) or
-                    // one newly-dead host id per bump (>64-host clusters,
-                    // one datagram per death)
+                    // privbase = one dead host id. A bump sends one datagram
+                    // per cumulative dead host, so a receiver that missed an
+                    // earlier epoch still converges on the full dead set.
   kCopysetQuery,    // adopting shard asks "do you hold a copy?" (translated
                     // geometry travels in the header, like a forward)
   kCopysetReply,    // answer: pgsize = local Protection value for the id
@@ -70,59 +69,59 @@ enum class MsgType : uint8_t {
 
 const char* MsgTypeName(MsgType t);
 
-// Header flags.
+// Header flags: one meaning per bit, all eight bits taken.
 inline constexpr uint8_t kFlagHasPayload = 0x1;
 inline constexpr uint8_t kFlagPrefetch = 0x2;
 inline constexpr uint8_t kFlagUpgrade = 0x4;    // access grant without data
 inline constexpr uint8_t kFlagForwarded = 0x8;  // already translated by manager
 inline constexpr uint8_t kFlagBounced = 0x10;   // returned unserved to manager
 inline constexpr uint8_t kFlagAbort = 0x20;     // push aborted by the pusher
-inline constexpr uint8_t kFlagWriteFetch = 0x40;  // LRC: fetch opens for writing
-inline constexpr uint8_t kFlagHomeGrant = 0x80;   // LRC: requester is the home
 // Batched frame: the payload is N BatchRecords, each one minipage the header
-// operation applies to (see BatchRecord below). Shares bit 0x40 with
-// kFlagWriteFetch — safe because the LRC layer never batches and the SC
-// coherence types that batch (invalidate/reply/ACK/read-request) never carry
-// kFlagWriteFetch.
+// operation applies to (see BatchRecord below).
 inline constexpr uint8_t kFlagBatched = 0x40;
+inline constexpr uint8_t kFlagHomeGrant = 0x80;  // LRC: requester is the home
 
-// Membership-epoch tag, packed into the high bits of MsgHeader::from. The
-// uint16 field carries both the sender's host id and its membership epoch
-// (mod a power of two); how the 16 bits are split is a property of the
-// cluster *size*, versioned by WireCodec below. The tag is stamped on the
-// wire copy at send time and stripped before dispatch, so protocol logic
-// only ever sees pure host ids — and the header stays at 32 bytes.
-//
-// v0 (clusters of ≤ 64 hosts): low 6 bits host id, high 10 bits epoch mod
-// 1024 — bit-identical to every release since the epoch tag was introduced,
-// so small clusters stay wire-compatible (the golden-bytes regression test
-// pins this). v1 (> 64 hosts): low 10 bits host id (up to kMaxHosts = 1024),
-// high 6 bits epoch mod 64. Both sides of a cluster share one num_hosts, so
-// they always agree on the codec; mod-64 epochs are ample — an epoch bump
-// consumes a host death, so wraparound needs 64 deaths with a 32-epoch-stale
-// datagram still in flight.
+static_assert(
+    [] {
+      constexpr uint8_t kFlags[] = {kFlagHasPayload, kFlagPrefetch, kFlagUpgrade,
+                                    kFlagForwarded,  kFlagBounced,  kFlagAbort,
+                                    kFlagBatched,    kFlagHomeGrant};
+      unsigned seen = 0;
+      for (const uint8_t f : kFlags) {
+        if (f == 0 || (f & (f - 1)) != 0 || (seen & f) != 0) {
+          return false;
+        }
+        seen |= f;
+      }
+      return true;
+    }(),
+    "header flags must be pairwise disjoint single bits");
+
+// Membership-epoch tag, packed into the high bits of MsgHeader::from: the
+// low 10 bits carry the sender's host id (up to kMaxHosts = 1024), the high
+// 6 bits its membership epoch mod 64. The tag is stamped on the wire copy at
+// send time and stripped before dispatch, so protocol logic only ever sees
+// pure host ids — and the header stays at 32 bytes. At epoch 0 the field is
+// the bare host id. Mod-64 epochs are ample: an epoch bump consumes a host
+// death, so wraparound needs 64 deaths with a 32-epoch-stale datagram still
+// in flight.
 struct WireCodec {
-  uint16_t host_mask;
-  uint32_t epoch_shift;
-  uint32_t epoch_mask;
+  static constexpr uint16_t kHostMask = 0x3ff;
+  static constexpr uint32_t kEpochShift = 10;
+  static constexpr uint32_t kEpochMask = 0x3f;
 
-  static constexpr WireCodec For(uint32_t num_hosts) {
-    return num_hosts <= 64 ? WireCodec{0x3f, 6, 0x3ff}      // v0: legacy split
-                           : WireCodec{0x3ff, 10, 0x3f};    // v1: wide hosts
+  static constexpr uint16_t Pack(HostId from, uint32_t epoch) {
+    return static_cast<uint16_t>((from & kHostMask) | ((epoch & kEpochMask) << kEpochShift));
   }
-
-  uint16_t Pack(HostId from, uint32_t epoch) const {
-    return static_cast<uint16_t>((from & host_mask) | ((epoch & epoch_mask) << epoch_shift));
-  }
-  HostId Host(uint16_t from) const { return from & host_mask; }
-  uint32_t EpochTag(uint16_t from) const { return from >> epoch_shift; }
+  static constexpr HostId Host(uint16_t from) { return from & kHostMask; }
+  static constexpr uint32_t EpochTag(uint16_t from) { return from >> kEpochShift; }
 
   // True when tag `t` is older than tag `now` under modular wraparound: the
-  // signed circular distance (now - t) lands in (0, modulus/2). Equal tags
-  // and tags ahead of `now` (a peer that bumped first) are not stale.
-  bool TagStale(uint32_t t, uint32_t now) const {
-    const uint32_t d = (now - t) & epoch_mask;
-    return d != 0 && d < (epoch_mask + 1) / 2;
+  // signed circular distance (now - t) lands in (0, 32). Equal tags and tags
+  // ahead of `now` (a peer that bumped first) are not stale.
+  static constexpr bool TagStale(uint32_t t, uint32_t now) {
+    const uint32_t d = (now - t) & kEpochMask;
+    return d != 0 && d < (kEpochMask + 1) / 2;
   }
 };
 
@@ -176,12 +175,12 @@ static_assert(sizeof(MsgHeader) == 32, "header must stay at 32 bytes, as in the 
 // order. Every record (including the first) lives in the payload — the
 // header's per-minipage fields are not load-bearing on a batched frame, since
 // transports overwrite pgsize with the payload length at send time. A
-// 1-record batch is never emitted: the coalescer sends it as a plain
-// unbatched message, keeping single-record frames bit-identical to the v0
-// wire format. type/flags/from/seq are shared by every record; the types
-// that batch either ignore from/seq on receive (kInvalidateRequest) or carry
-// a uniform value per destination (kInvalidateReply's from, kAck's
-// kNoWaitSlot seq, a group fetch's slot/gen).
+// 1-record batch is never emitted: it goes out as a plain header,
+// bit-identical to an unbatched run. type/flags/from/seq are shared by every
+// record; the types that batch either ignore from/seq on receive
+// (kInvalidateRequest) or carry a uniform value per destination
+// (kInvalidateReply's from, kAck's kNoWaitSlot seq, a group fetch's
+// slot/gen).
 struct BatchRecord {
   uint64_t addr = 0;      // packed GlobalAddr
   uint64_t privbase = 0;  // object offset of the minipage base

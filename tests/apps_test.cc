@@ -86,8 +86,8 @@ TEST_P(AppsAtHostCount, WaterConservesChecksum) {
 }
 
 INSTANTIATE_TEST_SUITE_P(HostCounts, AppsAtHostCount, ::testing::Values(1, 2, 4),
-                         [](const auto& info) {
-                           return "hosts" + std::to_string(info.param);
+                         [](const auto& param_info) {
+                           return "hosts" + std::to_string(param_info.param);
                          });
 
 TEST(AppsChunking, WaterRunsAtEveryChunkingLevel) {

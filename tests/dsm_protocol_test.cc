@@ -125,14 +125,13 @@ TEST(Protocol, PrefetchAvoidsBlockingFault) {
   (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
     if (host == 1) {
       node.Prefetch(p.addr());
-      // Give the asynchronous fetch time to land, then the access must not
-      // fault (the vpage is already readable).
-      for (int spin = 0; spin < 2000; ++spin) {
+      // Wait (up to 5 s, so a loaded machine cannot turn this into a fault)
+      // for the asynchronous fetch to land; the access then must not fault.
+      const uint64_t vpage = p.addr().offset / 4096;
+      const uint64_t deadline = MonotonicNowNs() + 5'000'000'000ull;
+      while (node.views().GetVpageProtection(p.addr().view, vpage) == Protection::kNoAccess &&
+             MonotonicNowNs() < deadline) {
         std::this_thread::yield();
-        const uint64_t vpage = p.addr().offset / 4096;
-        if (node.views().GetVpageProtection(p.addr().view, vpage) != Protection::kNoAccess) {
-          break;
-        }
       }
       EXPECT_EQ(p[7], 77);
     }
@@ -352,8 +351,8 @@ TEST_P(ServiceModes, ProtocolWorksUnderEachServiceDiscipline) {
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ServiceModes,
                          ::testing::Values(ServiceMode::kBlocking, ServiceMode::kPeriodic),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case ServiceMode::kBlocking:
                                return "blocking";
                              case ServiceMode::kPeriodic:

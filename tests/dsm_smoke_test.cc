@@ -86,7 +86,7 @@ TEST(DsmSmoke, PingPongCounter) {
     *counter = 0;
   });
   constexpr int kRounds = 50;
-  (*cluster)->RunParallel([&counter](DsmNode& node, HostId host) {
+  (*cluster)->RunParallel([&counter](DsmNode& node, HostId) {
     for (int r = 0; r < kRounds; ++r) {
       node.Lock(0);
       *counter = *counter + 1;

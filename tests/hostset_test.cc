@@ -125,7 +125,7 @@ TEST(HostSet, InlineAndSpilledRepresentationsCompareEqual) {
   EXPECT_TRUE(spilled.Empty());
 }
 
-TEST(HostSet, AllBelowAndFromWord) {
+TEST(HostSet, AllBelowAndSingle) {
   for (const uint32_t n : {0u, 1u, 5u, 63u, 64u, 65u, 100u, 128u, 1000u, kMaxHosts}) {
     const HostSet s = HostSet::AllBelow(n);
     EXPECT_EQ(s.Count(), static_cast<int>(n));
@@ -137,14 +137,7 @@ TEST(HostSet, AllBelowAndFromWord) {
       EXPECT_FALSE(s.Contains(n));
     }
   }
-  EXPECT_EQ(HostSet::FromWord(0b1011).LowWord(), 0b1011u);
-  EXPECT_EQ(HostSet::FromWord(0b1011), [] {
-    HostSet s;
-    s.Add(0);
-    s.Add(1);
-    s.Add(3);
-    return s;
-  }());
+  EXPECT_EQ(HostSet::AllBelow(5).LowWord(), 0b11111u);
   EXPECT_EQ(HostSet::Single(700).First(), 700);
   EXPECT_EQ(HostSet::Single(700).Count(), 1);
 }

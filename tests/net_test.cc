@@ -221,8 +221,8 @@ class MeshTransportTest : public ::testing::TestWithParam<TransportBackend> {
 INSTANTIATE_TEST_SUITE_P(Backends, MeshTransportTest,
                          ::testing::Values(TransportBackend::kSocket,
                                            TransportBackend::kUring),
-                         [](const ::testing::TestParamInfo<TransportBackend>& info) {
-                           return std::string(TransportBackendName(info.param));
+                         [](const ::testing::TestParamInfo<TransportBackend>& param_info) {
+                           return std::string(TransportBackendName(param_info.param));
                          });
 
 TEST_P(MeshTransportTest, BasicSendReceive) {
@@ -565,6 +565,24 @@ TEST(FaultyTransportTest, DropAndDelayFilters) {
   polled = faulty.Poll(0, &got, [](const MsgHeader&) -> std::byte* { return nullptr; }, 0);
   ASSERT_TRUE(polled.ok());
   EXPECT_FALSE(*polled);
+  EXPECT_EQ(faulty.receives_dropped(), 1u);
+}
+
+// Receive filters match the sender's host id, not the raw wire `from`: after
+// an epoch bump the field carries an epoch tag in its high bits.
+TEST(FaultyTransportTest, DropReceivesMatchesEpochTaggedSender) {
+  InProcTransport inner(2);
+  FaultyTransport faulty(&inner);
+  faulty.DropReceives(1, MsgType::kAck, 1);
+  MsgHeader h;
+  h.set_type(MsgType::kAck);
+  h.from = WireCodec::Pack(1, /*epoch=*/1);
+  ASSERT_TRUE(inner.Send(0, h, nullptr, 0).ok());
+  MsgHeader got;
+  auto polled =
+      faulty.Poll(0, &got, [](const MsgHeader&) -> std::byte* { return nullptr; }, 0);
+  ASSERT_TRUE(polled.ok());
+  EXPECT_FALSE(*polled) << "epoch-tagged message from host 1 escaped the drop rule";
   EXPECT_EQ(faulty.receives_dropped(), 1u);
 }
 

@@ -1,7 +1,7 @@
-// Host-death recovery on the threaded stack: three hand-assembled nodes over
-// one InProcTransport, each behind its own FaultyTransport so a test can
-// declare a peer dead exactly when the cluster is quiescent. Each scenario
-// kills one non-zero host and asserts the recovery subsystem's contract:
+// Host-death recovery on the threaded stack: hand-assembled nodes over one
+// InProcTransport, each behind its own FaultyTransport so a test can declare
+// a peer dead exactly when the cluster is quiescent. Each scenario kills
+// non-zero hosts and asserts the recovery subsystem's contract:
 // survivors bump the membership epoch (never abort), an adopting shard
 // rebuilds and serves the dead shard's minipages, and a minipage whose sole
 // copy died surfaces as a per-access kNotFound — not a cluster failure.
@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/time_util.h"
 #include "src/dsm/node.h"
@@ -31,9 +32,9 @@ namespace {
 // resolve well inside this budget or the recovery path has stalled.
 constexpr uint64_t kRecoverBudgetMs = 5000;
 
-DsmConfig RecoveryConfig() {
+DsmConfig RecoveryConfig(uint32_t num_hosts = 3) {
   DsmConfig cfg;
-  cfg.num_hosts = 3;
+  cfg.num_hosts = num_hosts;
   cfg.object_size = 1 << 20;
   cfg.manager_policy = ManagerPolicy::kSharded;  // recovery requires shards
   cfg.request_timeout_ms = 200;
@@ -42,33 +43,32 @@ DsmConfig RecoveryConfig() {
   return cfg;
 }
 
-// Three nodes, each behind its own FaultyTransport. Killing host V means
-// calling KillPeer(V) on every survivor's decorator: each raises peer-down
-// locally, and the epoch-bump broadcast reconciles whoever learns second.
-struct FaultyTrio {
-  InProcTransport inner{3};
-  FaultyTransport t0{&inner};
-  FaultyTransport t1{&inner};
-  FaultyTransport t2{&inner};
-  std::unique_ptr<DsmNode> nodes[3];
+// cfg.num_hosts nodes, each behind its own FaultyTransport. Killing host V
+// means calling KillPeer(V) on every survivor's decorator: each raises
+// peer-down locally, and the epoch-bump broadcast reconciles whoever learns
+// second.
+struct FaultyCluster {
+  InProcTransport inner;
+  std::vector<std::unique_ptr<FaultyTransport>> transports;
+  std::vector<std::unique_ptr<DsmNode>> nodes;
 
-  explicit FaultyTrio(const DsmConfig& cfg) {
-    FaultyTransport* ts[3] = {&t0, &t1, &t2};
-    for (HostId h = 0; h < 3; ++h) {
-      Result<std::unique_ptr<DsmNode>> r = DsmNode::Create(cfg, h, ts[h]);
+  explicit FaultyCluster(const DsmConfig& cfg) : inner(cfg.num_hosts) {
+    for (HostId h = 0; h < cfg.num_hosts; ++h) {
+      transports.push_back(std::make_unique<FaultyTransport>(&inner));
+      Result<std::unique_ptr<DsmNode>> r = DsmNode::Create(cfg, h, transports.back().get());
       MP_CHECK(r.ok()) << r.status().ToString();
-      nodes[h] = std::move(*r);
+      nodes.push_back(std::move(*r));
     }
     for (auto& n : nodes) {
       n->Start();
     }
   }
-  ~FaultyTrio() {
+  ~FaultyCluster() {
     for (auto& n : nodes) {
       n->BeginShutdown();
     }
-    for (int h = 2; h >= 0; --h) {
-      nodes[h]->Stop();
+    for (auto n = nodes.rbegin(); n != nodes.rend(); ++n) {
+      (*n)->Stop();
     }
   }
 
@@ -76,10 +76,9 @@ struct FaultyTrio {
 
   // Declares `victim` dead on every survivor's transport.
   void Kill(HostId victim) {
-    FaultyTransport* ts[3] = {&t0, &t1, &t2};
-    for (HostId h = 0; h < 3; ++h) {
+    for (HostId h = 0; h < transports.size(); ++h) {
       if (h != victim) {
-        ts[h]->KillPeer(victim);
+        transports[h]->KillPeer(victim);
       }
     }
   }
@@ -100,7 +99,7 @@ struct FaultyTrio {
 // ---- Epoch bump: death is recovery, not abort ------------------------------
 
 TEST(Recovery, PeerDeathBumpsEpochAndSurvivorsStayLive) {
-  FaultyTrio trio(RecoveryConfig());
+  FaultyCluster trio(RecoveryConfig());
   trio.Kill(2);
   ASSERT_TRUE(trio.AwaitEpoch(0, 1)) << "host 0 never bumped";
   ASSERT_TRUE(trio.AwaitEpoch(1, 1)) << "host 1 never bumped";
@@ -123,10 +122,46 @@ TEST(Recovery, PeerDeathBumpsEpochAndSurvivorsStayLive) {
   EXPECT_TRUE(st1.ok()) << st1.ToString();
 }
 
+// Two deaths: each bump datagram carries one dead host id, so a host that
+// learns of both deaths only from a peer's bumps still converges on the full
+// dead set.
+TEST(Recovery, SecondDeathReachesPeerThroughPerHostBumps) {
+  FaultyCluster cluster(RecoveryConfig(4));
+  DsmNode& n0 = cluster.node(0);
+  DsmNode& n1 = cluster.node(1);
+  Result<GlobalAddr> a = n0.SharedMalloc(16 * sizeof(int));  // id 0, shard 0
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  n0.CloseChunk();
+  ASSERT_TRUE(n0.FaultService(a->view, a->offset, /*is_write=*/true).ok());
+  reinterpret_cast<int*>(n0.AppPtr(*a))[0] = 4242;
+  ::usleep(100 * 1000);  // quiesce: no transaction in flight at the kill
+
+  cluster.Kill(2);
+  for (const HostId h : {HostId{0}, HostId{1}, HostId{3}}) {
+    ASSERT_TRUE(cluster.AwaitEpoch(h, 1)) << "host " << h << " never bumped";
+  }
+  // Only host 0 detects the second death; host 1 hears of it from host 0.
+  cluster.transports[0]->KillPeer(3);
+  ASSERT_TRUE(cluster.AwaitEpoch(1, 2)) << "host 1 never reached epoch 2";
+  HostSet both = HostSet::Single(2);
+  both.Add(3);
+  const uint64_t start = MonotonicNowNs();
+  while (n1.dead_set() != both && (MonotonicNowNs() - start) / 1000000 < kRecoverBudgetMs) {
+    ::usleep(1000);
+  }
+  EXPECT_EQ(n1.dead_set(), both);
+  EXPECT_EQ(n1.member_epoch(), 2u);
+
+  const Status read = n1.FaultService(a->view, a->offset, /*is_write=*/false);
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  EXPECT_EQ(reinterpret_cast<const int*>(n1.AppPtr(*a))[0], 4242);
+  EXPECT_TRUE(n1.health().ok()) << n1.health().ToString();
+}
+
 // ---- Shard failover: an adopter serves the dead shard's minipages ----------
 
 TEST(Recovery, AdoptedShardRebuildsAndServesDeadShardsMinipage) {
-  FaultyTrio trio(RecoveryConfig());
+  FaultyCluster trio(RecoveryConfig());
   DsmNode& n0 = trio.node(0);
   DsmNode& n2 = trio.node(2);
 
@@ -167,7 +202,7 @@ TEST(Recovery, AdoptedShardRebuildsAndServesDeadShardsMinipage) {
 // ---- Copyset repair: sole-copy loss is a per-minipage error ----------------
 
 TEST(Recovery, SoleCopyLossIsPerMinipageNotFound) {
-  FaultyTrio trio(RecoveryConfig());
+  FaultyCluster trio(RecoveryConfig());
   DsmNode& n0 = trio.node(0);
   DsmNode& n1 = trio.node(1);
   DsmNode& n2 = trio.node(2);
@@ -210,7 +245,7 @@ TEST(Recovery, SoleCopyLossIsPerMinipageNotFound) {
 // ---- Metrics: the recovery counters are exported --------------------------
 
 TEST(Recovery, RecoveryCountersAppearInMetricsSnapshot) {
-  FaultyTrio trio(RecoveryConfig());
+  FaultyCluster trio(RecoveryConfig());
   trio.Kill(2);
   ASSERT_TRUE(trio.AwaitEpoch(0, 1));
 

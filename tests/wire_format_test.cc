@@ -1,13 +1,12 @@
 // Wire-format regression tests. The header is a fixed 32-byte struct whose
-// `from` field multiplexes host id and membership-epoch tag; how the 16 bits
-// split is versioned by cluster size (WireCodec). These tests pin:
+// `from` field multiplexes a 10-bit host id and a 6-bit membership-epoch tag
+// (WireCodec). These tests pin:
 //
-//   * golden bytes — a ≤64-host cluster's datagrams are bit-identical to the
-//     pre-HostSet encoding (v0: 6-bit host, 10-bit epoch), so mixed-version
-//     small clusters stay wire-compatible;
-//   * v1 round-trips — >64-host clusters carry 10-bit host ids and 6-bit
-//     epoch tags without aliasing, across the whole id range;
-//   * epoch-tag staleness under modular wraparound for both codecs.
+//   * golden bytes — a fully-populated datagram, byte for byte, including the
+//     largest host id at the largest tag;
+//   * round-trips — every host id a cluster can hold carries its epoch tag
+//     without aliasing;
+//   * epoch-tag staleness under modular wraparound.
 
 #include <gtest/gtest.h>
 
@@ -26,28 +25,27 @@ TEST(WireFormat, HeaderIs32Bytes) {
   EXPECT_EQ(sizeof(MsgHeader), 32u);
 }
 
-// Hand-computed golden bytes for a fully-populated v0 (≤64-host) datagram.
-// If this test breaks, the change is not wire-compatible with deployed
-// small clusters — stop and version the frame instead.
-TEST(WireFormat, GoldenBytesSmallClusterEncoding) {
-  const WireCodec codec = WireCodec::For(3);
+// Hand-computed golden bytes for a fully-populated datagram. If this test
+// breaks, the change alters the wire format.
+TEST(WireFormat, GoldenBytes) {
   struct Case {
     HostId host;
     uint32_t epoch;
-    uint16_t expect_from;  // (host & 0x3f) | ((epoch & 0x3ff) << 6)
+    uint16_t expect_from;  // host | ((epoch & 0x3f) << 10)
   };
   const Case cases[] = {
       {3, 0, 0x0003},
-      {3, 1, 0x0043},
-      {3, 5, 0x0143},
-      {63, 1023, 0xffff},
-      {0, 1023, 0xffc0},
+      {3, 1, 0x0403},
+      {3, 5, 0x1403},
+      {3, 64, 0x0003},  // the tag is the epoch mod 64
+      {1023, 63, 0xffff},
+      {0, 63, 0xfc00},
   };
   for (const Case& c : cases) {
     MsgHeader h;
     h.set_type(MsgType::kWriteRequest);  // = 2
     h.flags = kFlagForwarded;            // = 0x08
-    h.from = codec.Pack(c.host, c.epoch);
+    h.from = WireCodec::Pack(c.host, c.epoch);
     h.seq = 0x11223344u;
     h.addr = (GlobalAddr{7, 0x0000000000abcdefULL}).Pack();
     h.minipage = 0x0a0b0c0du;
@@ -74,51 +72,32 @@ TEST(WireFormat, GoldenBytesSmallClusterEncoding) {
         0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
     };
     EXPECT_EQ(std::memcmp(got, expect, 32), 0)
-        << "host " << c.host << " epoch " << c.epoch
-        << ": v0 wire bytes changed (small-cluster compatibility broken)";
+        << "host " << c.host << " epoch " << c.epoch << ": wire bytes changed";
   }
 }
 
-// Host ids round-trip with their epoch tag for every host id a cluster can
-// produce: v0 (64 hosts, 10-bit tag) and v1 (>64 hosts, 10-bit host ids,
-// 6-bit tag).
-TEST(WireFormat, WideClusterRoundTrip) {
-  for (const uint32_t hosts : {64u, 65u, 100u, 1023u, 1024u}) {
-    const WireCodec codec = WireCodec::For(hosts);
-    for (uint32_t host = 0; host < hosts; host += 13) {
-      for (uint32_t epoch : {0u, 1u, 5u, 63u, 64u, 200u}) {
-        const uint16_t packed = codec.Pack(static_cast<HostId>(host), epoch);
-        EXPECT_EQ(codec.Host(packed), host) << "hosts " << hosts;
-        EXPECT_EQ(codec.EpochTag(packed), epoch & codec.epoch_mask);
-      }
+// Every host id up to kMaxHosts - 1 round-trips with every epoch tag.
+TEST(WireFormat, HostAndTagRoundTrip) {
+  for (uint32_t host = 0; host < 1024; ++host) {
+    for (const uint32_t epoch : {0u, 1u, 5u, 31u, 63u, 64u, 200u}) {
+      const uint16_t packed = WireCodec::Pack(static_cast<HostId>(host), epoch);
+      ASSERT_EQ(WireCodec::Host(packed), host) << "epoch " << epoch;
+      ASSERT_EQ(WireCodec::EpochTag(packed), epoch % 64) << "host " << host;
     }
-    // The largest host id with a max tag uses every bit of the field.
-    EXPECT_EQ(codec.Pack(codec.host_mask, codec.epoch_mask), 0xffffu);
   }
 }
 
-// Both cluster sizes agree on which codec they use, at the boundary.
-TEST(WireFormat, CodecVersionBoundary) {
-  EXPECT_EQ(WireCodec::For(64).host_mask, 0x3f);
-  EXPECT_EQ(WireCodec::For(65).host_mask, 0x3ff);
-  EXPECT_EQ(WireCodec::For(1).host_mask, 0x3f);
-  EXPECT_EQ(WireCodec::For(1024).host_mask, 0x3ff);
-}
-
-// Staleness is a circular comparison: tags strictly behind `now` (within
-// half the modulus) are stale; equal or ahead-of-now tags are not.
+// Staleness is a circular comparison mod 64: tags strictly behind `now`
+// (within half the modulus) are stale; equal or ahead-of-now tags are not.
 TEST(WireFormat, TagStaleCircularity) {
-  for (const uint32_t hosts : {2u, 100u}) {
-    const WireCodec c = WireCodec::For(hosts);
-    const uint32_t mod = c.epoch_mask + 1;
-    EXPECT_FALSE(c.TagStale(5 % mod, 5 % mod));  // equal: fresh
-    EXPECT_TRUE(c.TagStale(4 % mod, 5 % mod));   // behind: stale
-    EXPECT_FALSE(c.TagStale(6 % mod, 5 % mod));  // ahead (peer bumped first)
-    // Wraparound: now = 1, tag = mod - 1 is two behind, stale.
-    EXPECT_TRUE(c.TagStale(mod - 1, 1));
-    // A tag half the modulus away is treated as ahead, not stale.
-    EXPECT_FALSE(c.TagStale((5 + mod / 2) % mod, 5));
-  }
+  EXPECT_FALSE(WireCodec::TagStale(5, 5));  // equal: fresh
+  EXPECT_TRUE(WireCodec::TagStale(4, 5));   // behind: stale
+  EXPECT_FALSE(WireCodec::TagStale(6, 5));  // ahead (peer bumped first)
+  // Wraparound: now = 1, tag = 63 is two behind, stale.
+  EXPECT_TRUE(WireCodec::TagStale(63, 1));
+  // 31 behind is still stale; 32 away is treated as ahead, not stale.
+  EXPECT_TRUE(WireCodec::TagStale(38, 5));
+  EXPECT_FALSE(WireCodec::TagStale(37, 5));
 }
 
 // The packed-address format has a 16-bit view field: a view id of 65535
@@ -131,8 +110,8 @@ TEST(WireFormat, GlobalAddrViewBoundary) {
   EXPECT_DEATH((GlobalAddr{0, 1ULL << 48}).Pack(), "offset overflows");
 }
 
-// Batched frames: fixed 24-byte records, shared-bit flag discipline, and a
-// lossless header round-trip through From/ApplyTo.
+// Batched frames: fixed 24-byte records and a lossless header round-trip
+// through From/ApplyTo.
 TEST(WireFormat, BatchRecordLayoutAndRoundTrip) {
   static_assert(sizeof(BatchRecord) == 24);
   EXPECT_EQ(kMaxBatchRecords * sizeof(BatchRecord), 1536u);  // one datagram
@@ -155,10 +134,6 @@ TEST(WireFormat, BatchRecordLayoutAndRoundTrip) {
   out.seq = 42;
   r.ApplyTo(&out);
   EXPECT_EQ(0, std::memcmp(&h, &out, sizeof(MsgHeader)));
-
-  // kFlagBatched shares 0x40 with the LRC-only kFlagWriteFetch; the batching
-  // layer must stay off LRC types, so the constant itself must not move.
-  EXPECT_EQ(kFlagBatched, kFlagWriteFetch);
 }
 
 }  // namespace
