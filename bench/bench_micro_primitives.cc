@@ -1,19 +1,23 @@
 // Google-benchmark micro-suite over the substrate primitives: protection
 // control, MPT translation scaling, allocator throughput, diff costs by
-// size and dirtiness, address packing, and the metrics layer's own overhead
-// (enabled vs disabled — the acceptance budget is <2% on fast paths).
+// size and dirtiness, address packing, the metrics layer's own overhead
+// (enabled vs disabled — the acceptance budget is <2% on fast paths), and the
+// wait-slot reply handoff, parked vs polling.
 // Complements the paper-table benches with statistically robust per-op
 // numbers.
 
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
+#include "src/common/poll_window.h"
 #include "src/diff/diff.h"
+#include "src/dsm/wait_slots.h"
 #include "src/multiview/allocator.h"
 #include "src/multiview/minipage.h"
 #include "src/multiview/view_set.h"
@@ -218,6 +222,39 @@ void BM_MetricsScopedTimerDisabled(benchmark::State& state) {
   benchmark::DoNotOptimize(h.count());
 }
 BENCHMARK(BM_MetricsScopedTimerDisabled);
+
+// --- reply handoff ----------------------------------------------------------
+// A cross-thread Post -> resume ping-pong over two wait slots: one iteration
+// is a round trip, i.e. two handoffs. The arg is the poll window both sides
+// wait with: 0 parks on the semaphore at once, so every handoff is a futex
+// wake; kPollWindowUs polls first, as fault and lock waits do.
+
+void BM_WaitSlotsPingPong(benchmark::State& state) {
+  const uint64_t poll_us = static_cast<uint64_t>(state.range(0));
+  WaitSlots slots;
+  const uint32_t ping = slots.Acquire();
+  const uint32_t pong = slots.Acquire();
+  constexpr uint32_t kStop = 1;
+  std::thread echo([&] {
+    for (;;) {
+      const MsgHeader h = *slots.WaitFor(ping, 0, poll_us);
+      slots.Post(pong, h);
+      if (h.seq == kStop) {
+        return;
+      }
+    }
+  });
+  MsgHeader msg;
+  for (auto _ : state) {
+    slots.Post(ping, msg);
+    benchmark::DoNotOptimize(slots.WaitFor(pong, 0, poll_us));
+  }
+  msg.seq = kStop;
+  slots.Post(ping, msg);
+  (void)slots.Wait(pong);
+  echo.join();
+}
+BENCHMARK(BM_WaitSlotsPingPong)->ArgName("poll_us")->Arg(0)->Arg(kPollWindowUs)->UseRealTime();
 
 // Forwards console output unchanged while copying each run into the
 // BenchReporter so --bench_json emits the same rows CI consumes.

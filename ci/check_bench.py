@@ -5,10 +5,11 @@ Hard failures (exit 1) are reserved for a broken harness: missing file,
 unparseable JSON, wrong schema, a bench document without the required
 fields — a >10x ns/op regression versus ci/bench_baseline.json, which no
 amount of runner noise explains, or a violated paper shape claim
-(SHAPE_GATES, checked against the run itself so no baseline refresh can
-absorb it). Smaller swings are *soft*: CI runners are noisy shared VMs, so a
->3x change only prints a warning (and a ::warning:: annotation when running
-under GitHub Actions) and still exits 0.
+(SHAPE_GATES and the Fig. 7 interior-peak gate, checked against the run
+itself so no baseline refresh can absorb them). Smaller swings are *soft*:
+CI runners are noisy shared VMs, so a >3x change only prints a warning (and
+a ::warning:: annotation when running under GitHub Actions) and still exits
+0.
 
 Rows with ns_per_op <= 0 are structural (e.g. the Table 2 application
 characterization rows) and are skipped by the comparison.
@@ -49,6 +50,12 @@ SHAPE_GATES = [
     ("bench_table1_basic_costs", "in-proc: data message send/recv (0.5 KB)", "<", 1.0,
      "in-proc: data message send/recv (4 KB)"),
 ]
+# Figure 7: chunking has an interior optimum. Within each host count, the
+# lowest-time bench_fig7_chunking row must be some level > 1: neither no
+# chunking (level=1) nor page-based sharing without false-sharing control
+# (level=none).
+FIG7_BENCH = "bench_fig7_chunking"
+FIG7_EDGE_LEVELS = ("1", "none")
 OPS = {
     ">": lambda a, b: a > b,
     "<": lambda a, b: a < b,
@@ -122,10 +129,40 @@ def check_shape(doc):
         print(f"check_bench: shape {'ok' if holds else 'VIOLATED'}: {claim}")
         if not holds:
             violated.append(claim)
+    if FIG7_BENCH in results:
+        violated += check_fig7_peak(results[FIG7_BENCH])
+    else:
+        print(f"check_bench: {FIG7_BENCH} absent; interior-peak gate skipped")
     if violated:
         for claim in violated:
             print(f"::error::shape claim violated: {claim}")
         fail(f"{len(violated)} paper shape claim(s) violated")
+
+
+def check_fig7_peak(rows):
+    """Return the Fig. 7 interior-peak claims violated by `rows`, one per
+    host count whose fastest row is an edge level."""
+    groups = {}
+    for r in rows:
+        params = dict(kv.split("=", 1) for kv in r["params"].split())
+        if "level" not in params:
+            fail(f"{FIG7_BENCH}: row without a level: {r['params']!r}")
+        level = params.pop("level")
+        key = " ".join(f"{k}={v}" for k, v in sorted(params.items()))
+        groups.setdefault(key, {})[level] = float(r["ns_per_op"]) / 1e6
+    violated = []
+    for key, ms in sorted(groups.items()):
+        for level in FIG7_EDGE_LEVELS:
+            if level not in ms:
+                fail(f"{FIG7_BENCH} [{key}]: shape-gate row level={level} missing")
+        best = min(ms, key=ms.get)
+        holds = best not in FIG7_EDGE_LEVELS
+        edges = ", ".join(f"level={lv} {ms[lv]:.1f} ms" for lv in FIG7_EDGE_LEVELS)
+        claim = f"{FIG7_BENCH} [{key}] fastest at level={best} ({ms[best]:.1f} ms; {edges})"
+        print(f"check_bench: shape {'ok' if holds else 'VIOLATED'}: {claim}")
+        if not holds:
+            violated.append(claim)
+    return violated
 
 
 def main():

@@ -33,9 +33,10 @@ inline constexpr uint32_t kBarrierShardId = 0xfffffffeu;
 // How a host's DSM server thread waits for messages (Section 3.5.1). The
 // paper's poller busy-loops at low priority and its sweeper wakes on a 1 ms
 // multimedia timer; on a general-purpose kernel the in-process transport's
-// receive wait is both: poll 100 µs, then park (InProcTransport::kPollWindowUs;
-// the socket and io_uring meshes only park). kPeriodic reproduces the NT-timer
-// ablation: the server only looks at the network every `period_us`.
+// receive wait is both: poll 100 µs, then park (kPollWindowUs in
+// src/common/poll_window.h; the socket and io_uring meshes only park).
+// kPeriodic reproduces the NT-timer ablation: the server only looks at the
+// network every `period_us`.
 enum class ServiceMode {
   kBlocking,  // poll briefly, then block on the transport with a short timeout (default)
   kPeriodic,  // poll, then sleep period_us (models coarse timers)

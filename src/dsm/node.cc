@@ -9,6 +9,7 @@
 
 #include "src/common/failpoint.h"
 #include "src/common/logging.h"
+#include "src/common/poll_window.h"
 #include "src/common/rng.h"
 #include "src/common/time_util.h"
 #include "src/os/page.h"
@@ -78,6 +79,7 @@ DsmNode::DsmNode(const DsmConfig& config, HostId me, Transport* transport)
   barrier_ns_ = metrics_.GetHistogram("dsm.barrier_ns");
   lock_ns_ = metrics_.GetHistogram("dsm.lock_ns");
   recovery_ns_ = metrics_.GetHistogram("dsm.recovery_ns");
+  slots_.set_handoff_histogram(metrics_.GetHistogram("dsm.reply_handoff_ns"));
 }
 
 DsmNode::~DsmNode() { Stop(); }
@@ -86,6 +88,7 @@ void DsmNode::Start() {
   MP_CHECK(!server_.joinable()) << "server already started";
   stop_.store(false, std::memory_order_release);
   transport_->SetPeerDownHandler([this](HostId peer) { OnPeerDown(peer); });
+  reply_poll_us_.store(kPollWindowUs, std::memory_order_relaxed);
   server_ = std::thread([this] { ServerLoop(); });
 }
 
@@ -355,7 +358,8 @@ Status DsmNode::TryLock(uint32_t lock_id) {
     // anything else fails within the sync deadline. (A held lock also
     // legitimately blocks for as long as its holder computes — the generous
     // sync deadline reflects that.)
-    Result<MsgHeader> reply = AwaitReply(slot, gen, config_.sync_timeout_ms, "Lock");
+    Result<MsgHeader> reply =
+        AwaitReply(slot, gen, config_.sync_timeout_ms, "Lock", /*poll=*/true);
     if (reply.ok()) {
       break;
     }
@@ -467,7 +471,8 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
   };
   size_t collected = 0;
   for (size_t i = 0; i < issued; ++i) {
-    Result<MsgHeader> reply = AwaitReply(slot, gen, config_.request_timeout_ms, "FetchGroup");
+    Result<MsgHeader> reply =
+        AwaitReply(slot, gen, config_.request_timeout_ms, "FetchGroup", /*poll=*/true);
     if (!reply.ok()) {
       flush_acks();
       (void)LivenessFailure("FetchGroup", reply.status());
@@ -560,7 +565,7 @@ Status DsmNode::FaultService(uint32_t view, uint64_t offset, bool is_write) {
       return LivenessFailure(what, st);
     }
     const uint64_t attempt_timeout_ms = RetryTimeoutMs(config_, me_, timeouts);
-    Result<MsgHeader> r = AwaitReply(slot, gen, attempt_timeout_ms, what);
+    Result<MsgHeader> r = AwaitReply(slot, gen, attempt_timeout_ms, what, /*poll=*/true);
     if (r.ok()) {
       if ((r->flags & kFlagAbort) != 0) {
         // The owning shard degraded this minipage: its sole copy died with
@@ -1984,7 +1989,8 @@ void DsmNode::Bounce(MsgHeader h) {
 // ---- Liveness --------------------------------------------------------------
 
 Result<MsgHeader> DsmNode::AwaitReply(uint32_t slot, uint32_t gen, uint64_t timeout_ms,
-                                      const char* what) {
+                                      const char* what, bool poll) {
+  const uint64_t poll_us = poll ? reply_poll_us_.load(std::memory_order_relaxed) : 0;
   const uint64_t deadline_ns =
       timeout_ms > 0 ? MonotonicNowNs() + timeout_ms * 1000000ull : 0;
   for (;;) {
@@ -1997,7 +2003,7 @@ Result<MsgHeader> DsmNode::AwaitReply(uint32_t slot, uint32_t gen, uint64_t time
       }
       remaining_ms = (deadline_ns - now + 999999) / 1000000;
     }
-    Result<MsgHeader> r = slots_.WaitFor(slot, remaining_ms);
+    Result<MsgHeader> r = slots_.WaitFor(slot, remaining_ms, poll_us);
     if (!r.ok()) {
       if (r.status().code() == StatusCode::kDeadlineExceeded) {
         return Status::DeadlineExceeded(std::string(what) + ": no reply within " +

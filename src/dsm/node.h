@@ -338,9 +338,11 @@ class DsmNode {
 
   // Waits for the reply tagged (slot, gen), discarding stale replies from
   // abandoned attempts (and ACKing discarded data replies so the manager
-  // releases the minipage). timeout_ms = 0 waits forever.
+  // releases the minipage). timeout_ms = 0 waits forever. `poll` marks a wait
+  // a few hops from its reply (fault data, lock grant): it polls for
+  // reply_poll_us_ before parking. Barrier and allocation waits park at once.
   Result<MsgHeader> AwaitReply(uint32_t slot, uint32_t gen, uint64_t timeout_ms,
-                               const char* what);
+                               const char* what, bool poll = false);
 
   // Peer-down event (from the transport or a send failure): schedules
   // recovery when the death is recoverable, otherwise aborts every
@@ -425,6 +427,10 @@ class DsmNode {
 
   std::thread server_;
   std::atomic<bool> stop_{false};
+  // The poll window of a polling reply wait: kPollWindowUs once Start() runs
+  // a server loop, 0 on a simulator-pumped node, whose waits park at once so
+  // same-seed histories do not depend on it.
+  std::atomic<uint64_t> reply_poll_us_{0};
 
   // In-flight fetch tracking, used only when read ACKs are elided: a fetch
   // whose minipage is invalidated mid-flight is poisoned and retried instead

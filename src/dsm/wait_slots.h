@@ -3,6 +3,16 @@
 // because sem_wait/sem_post are async-signal-safe, and the faulting thread
 // waits from inside the SIGSEGV handler.
 //
+// Poll before park: a wait that is a few hops from its reply (a fault's data
+// reply, a lock grant) passes WaitFor a poll window (kPollWindowUs,
+// src/common/poll_window.h) and checks for a posted token with sem_trywait,
+// yielding between checks, before it parks on the semaphore — so a reply
+// that lands within the window is taken without a futex wake. The loop calls
+// only sem_trywait, clock_gettime and sched_yield. Barrier and allocation
+// waits, and every wait on a simulator-pumped node, park at once (DESIGN.md
+// §13). Post stamps each reply when metrics are on, and the waiter records
+// the Post-to-return time in the handoff histogram (dsm.reply_handoff_ns).
+//
 // Liveness layer: WaitFor bounds every wait with a deadline (sem_clockwait
 // on CLOCK_MONOTONIC: the same futex wait as sem_timedwait, so still
 // async-signal-safe, and immune to wall-clock steps), and AbortAll wakes
@@ -21,6 +31,7 @@
 #include <semaphore.h>
 #include <time.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -28,7 +39,10 @@
 #include <string>
 
 #include "src/common/logging.h"
+#include "src/common/metrics.h"
+#include "src/common/poll_window.h"
 #include "src/common/status.h"
+#include "src/common/time_util.h"
 #include "src/net/message.h"
 
 namespace millipage {
@@ -78,32 +92,62 @@ class WaitSlots {
 
   // Returns the oldest undelivered reply for `slot`, waiting at most
   // `timeout_ms` (0 = wait forever). Queued replies are always delivered
-  // before an abort is reported. Errors:
+  // before an abort is reported. With `poll_us` > 0 the wait first polls for
+  // a posted token for up to that long (never past the deadline) and parks
+  // only once the window has expired; replies, kicks and abort tokens all end
+  // the poll. Errors:
   //   kDeadlineExceeded — no reply within the budget;
   //   the AbortAll status (default kUnavailable) — slots are aborted.
-  Result<MsgHeader> WaitFor(uint32_t slot, uint64_t timeout_ms) {
+  Result<MsgHeader> WaitFor(uint32_t slot, uint64_t timeout_ms, uint64_t poll_us = 0) {
     MP_CHECK(slot < kMaxSlots);
     Slot& s = slots_[slot];
     {
       std::lock_guard<std::mutex> lock(s.mu);
       s.in_wait = true;
     }
+    const uint64_t start_ns = MonotonicNowNs();
+    const uint64_t deadline_ns = timeout_ms > 0 ? start_ns + timeout_ms * 1000000 : 0;
     struct timespec abs_deadline;
+    abs_deadline.tv_sec = static_cast<time_t>(deadline_ns / 1000000000);
+    abs_deadline.tv_nsec = static_cast<long>(deadline_ns % 1000000000);
+    // 0 once the poll window is spent (or there is none): park from then on.
+    uint64_t poll_until_ns = poll_us > 0 ? start_ns + poll_us * 1000 : 0;
     if (timeout_ms > 0) {
-      clock_gettime(CLOCK_MONOTONIC, &abs_deadline);
-      abs_deadline.tv_sec += static_cast<time_t>(timeout_ms / 1000);
-      abs_deadline.tv_nsec += static_cast<long>((timeout_ms % 1000) * 1000000);
-      if (abs_deadline.tv_nsec >= 1000000000L) {
-        abs_deadline.tv_sec += 1;
-        abs_deadline.tv_nsec -= 1000000000L;
-      }
+      poll_until_ns = std::min(poll_until_ns, deadline_ns);
     }
+    const auto take_token = [&s] { return sem_trywait(&s.sem) == 0; };
     for (;;) {
-      // Fast path: consume an already-posted reply (or a stale abort token).
-      while (sem_trywait(&s.sem) == 0) {
+      // Take one token: already posted, posted within the poll window, or
+      // posted while parked.
+      if (!take_token()) {
+        if (aborted_.load(std::memory_order_acquire)) {
+          return LeaveWait(s, abort_status());
+        }
+        const bool polled = poll_until_ns != 0 && PollUntil(poll_until_ns, take_token);
+        poll_until_ns = 0;
+        if (!polled) {
+          const int rc = timeout_ms > 0 ? sem_clockwait(&s.sem, CLOCK_MONOTONIC, &abs_deadline)
+                                        : sem_wait(&s.sem);
+          if (rc != 0) {
+            if (errno == EINTR) {
+              continue;
+            }
+            if (errno == ETIMEDOUT) {
+              if (aborted_.load(std::memory_order_acquire)) {
+                return LeaveWait(s, abort_status());
+              }
+              return LeaveWait(
+                  s, Status::DeadlineExceeded("no reply on wait slot " + std::to_string(slot) +
+                                              " within " + std::to_string(timeout_ms) + " ms"));
+            }
+            return LeaveWait(s, Status::Errno("sem_wait"));
+          }
+        }
+      }
+      {
         std::lock_guard<std::mutex> lock(s.mu);
         if (!s.replies.empty()) {
-          const MsgHeader reply = s.replies.front();
+          const Posted p = s.replies.front();
           s.replies.pop_front();
           // Cleared in the same critical section as the pop, so an observer
           // never sees "in wait, no reply queued" for a thread that in fact
@@ -111,62 +155,38 @@ class WaitSlots {
           // pending kick: the thread is making progress.
           s.in_wait = false;
           s.has_kick = false;
-          return reply;
+          if (p.posted_ns != 0) {
+            handoff_->RecordAlways(MonotonicNowNs() - p.posted_ns);
+          }
+          return p.reply;
         }
         if (s.has_kick) {
           s.has_kick = false;
           s.in_wait = false;
           return s.kicked;
         }
-        // Token without a reply: an abort wake-up; fall through to report it.
-        break;
       }
-      if (aborted_.load(std::memory_order_acquire)) {
-        return LeaveWait(s, abort_status());
-      }
-      const int rc = timeout_ms > 0 ? sem_clockwait(&s.sem, CLOCK_MONOTONIC, &abs_deadline)
-                                    : sem_wait(&s.sem);
-      if (rc != 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        if (errno == ETIMEDOUT) {
-          if (aborted_.load(std::memory_order_acquire)) {
-            return LeaveWait(s, abort_status());
-          }
-          return LeaveWait(
-              s, Status::DeadlineExceeded("no reply on wait slot " + std::to_string(slot) +
-                                          " within " + std::to_string(timeout_ms) + " ms"));
-        }
-        return LeaveWait(s, Status::Errno("sem_wait"));
-      }
-      std::lock_guard<std::mutex> lock(s.mu);
-      if (!s.replies.empty()) {
-        const MsgHeader reply = s.replies.front();
-        s.replies.pop_front();
-        s.in_wait = false;
-        s.has_kick = false;
-        return reply;
-      }
-      if (s.has_kick) {
-        s.has_kick = false;
-        s.in_wait = false;
-        return s.kicked;
-      }
-      // Woken without a reply: abort token — loop re-checks aborted_.
+      // Token without a reply: an abort wake-up — the loop re-checks aborted_.
     }
   }
 
-  // Deposits a reply and wakes the waiter.
+  // Deposits a reply and wakes the waiter. With a handoff histogram set and
+  // metrics on, the waiter records how long after this call it took the
+  // reply.
   void Post(uint32_t slot, const MsgHeader& reply) {
     MP_CHECK(slot < kMaxSlots);
     Slot& s = slots_[slot];
+    const uint64_t posted_ns = handoff_ != nullptr && MetricsEnabled() ? MonotonicNowNs() : 0;
     {
       std::lock_guard<std::mutex> lock(s.mu);
-      s.replies.push_back(reply);
+      s.replies.push_back(Posted{reply, posted_ns});
     }
     sem_post(&s.sem);
   }
+
+  // Where WaitFor records the Post-to-return time of each reply (see Post).
+  // Set before any Post; null (the default) records nothing.
+  void set_handoff_histogram(Histogram* h) { handoff_ = h; }
 
   // Wakes every current waiter and fails every future wait with `status`
   // (sticky). Queued replies are still drained first. Used by the peer-down
@@ -233,10 +253,14 @@ class WaitSlots {
   }
 
  private:
+  struct Posted {
+    MsgHeader reply;
+    uint64_t posted_ns;  // MonotonicNowNs at Post; 0 when not timed
+  };
   struct Slot {
     sem_t sem;
     mutable std::mutex mu;
-    std::deque<MsgHeader> replies;
+    std::deque<Posted> replies;
     bool in_wait = false;   // guarded by mu
     bool has_kick = false;  // guarded by mu; one-shot KickAll wake pending
     Status kicked;          // guarded by mu; status that wake reports
@@ -250,6 +274,7 @@ class WaitSlots {
   }
 
   Slot slots_[kMaxSlots];
+  Histogram* handoff_ = nullptr;
   std::atomic<uint32_t> next_{0};
   std::atomic<bool> aborted_{false};
   mutable std::mutex abort_mu_;

@@ -1,12 +1,11 @@
 #include "src/net/inproc_transport.h"
 
-#include <sched.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstring>
 
 #include "src/common/metrics.h"
+#include "src/common/poll_window.h"
 #include "src/common/time_util.h"
 
 namespace millipage {
@@ -67,10 +66,8 @@ Result<bool> InProcTransport::Poll(HostId me, MsgHeader* h, const PayloadSink& s
           std::min(box.last_delivery_ns + kPollWindowUs * 1000, deadline_ns);
       if (start_ns < poll_until_ns) {
         lock.unlock();
-        while (box.queued.load(std::memory_order_relaxed) == 0 &&
-               MonotonicNowNs() < poll_until_ns) {
-          sched_yield();
-        }
+        PollUntil(poll_until_ns,
+                  [&box] { return box.queued.load(std::memory_order_relaxed) != 0; });
         lock.lock();
       }
       if (box.q.empty()) {

@@ -3,13 +3,13 @@
 // on receive, modeling the NIC DMA in/out of the paper's Myrinet path while
 // keeping the DSM layer itself copy-free.
 //
-// Receive wait: poll before park. A blocking Poll on an empty mailbox that
-// delivered a message within the last kPollWindowUs keeps polling — a
-// lock-free read of the queued count with sched_yield() between checks —
-// and parks on the condvar only once the window has expired. The next hop
-// of a fault, barrier or lock then finds its server still on-CPU instead of
-// behind a halted vCPU (the paper's poller busy-loops, Section 3.5.1); a
-// host idle for longer than the window parks at once (DESIGN.md §13).
+// Receive wait: poll before park (src/common/poll_window.h). A blocking Poll
+// on an empty mailbox that delivered a message within the last kPollWindowUs
+// keeps polling — a lock-free read of the queued count with sched_yield()
+// between checks — and parks on the condvar only once the window has
+// expired. The next hop of a fault, barrier or lock then finds its server
+// still on-CPU; a host idle for longer than the window parks at once
+// (DESIGN.md §13).
 
 #ifndef SRC_NET_INPROC_TRANSPORT_H_
 #define SRC_NET_INPROC_TRANSPORT_H_
@@ -30,13 +30,6 @@ class Histogram;
 
 class InProcTransport : public Transport {
  public:
-  // How long after its last delivery a mailbox polls before parking. It must
-  // cover the longest gap between two deliveries inside one operation (an
-  // invalidation round, a barrier's arrivals), which host steal stretches; a
-  // window that closes just before the next message costs both the spin and
-  // the wake. DESIGN.md §13 has the measurements behind 100 µs.
-  static constexpr uint64_t kPollWindowUs = 100;
-
   explicit InProcTransport(uint16_t num_hosts);
 
   Status Send(HostId to, MsgHeader h, const void* payload, size_t len) override;

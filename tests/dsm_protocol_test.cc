@@ -661,5 +661,43 @@ TEST(Protocol, IdleClusterDoesNotSpin) {
   EXPECT_LT(idle_ms, 250.0) << "process CPU while the cluster sat idle for 500 ms";
 }
 
+TEST(Protocol, BlockedLockWaiterParksAfterThePollWindow) {
+  // A lock wait polls for its grant only for the poll window, then parks. A
+  // waiter that never parked would burn a vCPU (~500 ms of process CPU) for
+  // the whole 500 ms the holder keeps the lock.
+  SetMetricsEnabled(true);
+  auto cluster = DsmCluster::Create(Cfg(2));
+  ASSERT_TRUE(cluster.ok());
+  const auto cpu_ms = [] {
+    struct rusage ru;
+    getrusage(RUSAGE_SELF, &ru);
+    return (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * 1000.0 +
+           (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1000.0;
+  };
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    if (host == 0) {
+      ASSERT_TRUE(node.TryLock(5).ok());
+    }
+    node.Barrier();
+    if (host == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+      node.Unlock(5);
+    } else {
+      const double before_ms = cpu_ms();
+      const uint64_t t0 = MonotonicNowNs();
+      ASSERT_TRUE(node.TryLock(5).ok());
+      const uint64_t waited_ms = (MonotonicNowNs() - t0) / 1000000;
+      const double wait_cpu_ms = cpu_ms() - before_ms;
+      node.Unlock(5);
+      EXPECT_GE(waited_ms, 300u) << "the lock was granted while its holder still held it";
+      EXPECT_LT(wait_cpu_ms, 250.0) << "process CPU while a lock waiter sat blocked for "
+                                    << waited_ms << " ms";
+    }
+    node.Barrier();
+  });
+  // The grant, like every reply, was timed from Post to the waiter's return.
+  EXPECT_GE((*cluster)->SnapshotMetrics().histograms.at("dsm.reply_handoff_ns").count, 1u);
+}
+
 }  // namespace
 }  // namespace millipage

@@ -16,6 +16,7 @@
 
 #include "src/common/failpoint.h"
 #include "src/common/logging.h"
+#include "src/common/poll_window.h"
 #include "src/common/time_util.h"
 #include "src/net/faulty_transport.h"
 #include "src/net/inproc_transport.h"
@@ -158,7 +159,7 @@ TEST(InProcTransportTest, PollParksPastTheWindowUntilSend) {
   auto polled = t.Poll(1, &got, no_sink, 1000000);
   ASSERT_TRUE(polled.ok() && *polled);
   std::thread sender([&t] {
-    ::usleep(20 * InProcTransport::kPollWindowUs);
+    ::usleep(20 * kPollWindowUs);
     MsgHeader late;
     late.set_type(MsgType::kAck);
     late.seq = 42;

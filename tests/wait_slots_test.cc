@@ -1,6 +1,6 @@
 // Unit tests for WaitSlots: seq encoding, per-slot FIFO reply queues (split
-// transactions), the WaitFor deadline path, and AbortAll's sticky peer-down
-// semantics.
+// transactions), the WaitFor deadline path, the poll-before-park window, the
+// reply handoff histogram, and AbortAll's sticky peer-down semantics.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 
 #include <thread>
 
+#include "src/common/metrics.h"
 #include "src/common/time_util.h"
 #include "src/dsm/wait_slots.h"
 
@@ -109,6 +110,105 @@ TEST(WaitSlots, QueuedRepliesDrainBeforeAbort) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->seq, 55u);
   EXPECT_FALSE(slots.WaitFor(slot, 1000).ok());
+}
+
+// A poll window far longer than any event below, so an event that lands
+// 10 ms into the wait is inside it and a prompt return shows the poll took it.
+constexpr uint64_t kLongPollUs = 2000000;
+
+uint64_t ElapsedMs(uint64_t t0) { return (MonotonicNowNs() - t0) / 1000000; }
+
+TEST(WaitSlots, PollTakesPostInsideWindow) {
+  WaitSlots slots;
+  const uint32_t slot = slots.Acquire();
+  std::thread poster([&slots, slot] {
+    ::usleep(10 * 1000);
+    slots.Post(slot, Reply(8));
+  });
+  const uint64_t t0 = MonotonicNowNs();
+  const Result<MsgHeader> r = slots.WaitFor(slot, 5000, kLongPollUs);
+  const uint64_t elapsed_ms = ElapsedMs(t0);
+  poster.join();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->seq, 8u);
+  EXPECT_LT(elapsed_ms, 1000u);
+}
+
+TEST(WaitSlots, PollTakesKickInsideWindow) {
+  WaitSlots slots;
+  const uint32_t slot = slots.Acquire();
+  std::thread kicker([&slots] {
+    ::usleep(10 * 1000);
+    slots.KickAll(Status::Precondition("membership changed"));
+  });
+  const uint64_t t0 = MonotonicNowNs();
+  const Result<MsgHeader> r = slots.WaitFor(slot, 5000, kLongPollUs);
+  const uint64_t elapsed_ms = ElapsedMs(t0);
+  kicker.join();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_LT(elapsed_ms, 1000u);
+  // One-shot: the next wait is not kicked.
+  EXPECT_EQ(slots.WaitFor(slot, 20, kLongPollUs).status().code(),
+            StatusCode::kDeadlineExceeded);
+}
+
+TEST(WaitSlots, PollTakesAbortInsideWindow) {
+  WaitSlots slots;
+  const uint32_t slot = slots.Acquire();
+  std::thread aborter([&slots] {
+    ::usleep(10 * 1000);
+    slots.AbortAll(Status::Unavailable("peer host 1 is down"));
+  });
+  const uint64_t t0 = MonotonicNowNs();
+  const Result<MsgHeader> r = slots.WaitFor(slot, 0, kLongPollUs);
+  const uint64_t elapsed_ms = ElapsedMs(t0);
+  aborter.join();
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+  EXPECT_LT(elapsed_ms, 1000u);
+}
+
+TEST(WaitSlots, PollNeverOutlastsTheDeadline) {
+  WaitSlots slots;
+  const uint32_t slot = slots.Acquire();
+  const uint64_t t0 = MonotonicNowNs();
+  const Result<MsgHeader> r = slots.WaitFor(slot, 20, kLongPollUs);
+  const uint64_t elapsed_ms = ElapsedMs(t0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_GE(elapsed_ms, 15u);
+  EXPECT_LT(elapsed_ms, 1000u);
+}
+
+TEST(WaitSlots, PostAfterTheWindowWakesParkedWaiter) {
+  WaitSlots slots;
+  const uint32_t slot = slots.Acquire();
+  std::thread poster([&slots, slot] {
+    ::usleep(50 * 1000);  // 50x the 1 ms window: the waiter has parked
+    EXPECT_TRUE(slots.WaiterBlocked(slot));
+    slots.Post(slot, Reply(9));
+  });
+  const Result<MsgHeader> r = slots.WaitFor(slot, 5000, 1000);
+  poster.join();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->seq, 9u);
+}
+
+TEST(WaitSlots, HandoffHistogramTimesEachPostedReply) {
+  WaitSlots slots;
+  Histogram handoff;
+  slots.set_handoff_histogram(&handoff);
+  const uint32_t slot = slots.Acquire();
+  slots.Post(slot, Reply(1));
+  std::thread poster([&slots, slot] {
+    ::usleep(10 * 1000);
+    slots.Post(slot, Reply(2));
+  });
+  EXPECT_EQ(slots.Wait(slot).seq, 1u);
+  EXPECT_EQ(slots.Wait(slot).seq, 2u);
+  poster.join();
+  EXPECT_EQ(handoff.count(), 2u);
 }
 
 }  // namespace
