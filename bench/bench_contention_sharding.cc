@@ -89,9 +89,9 @@ ContentionResult RunContention(uint16_t hosts, ManagerPolicy policy, bool conten
     if (dir == nullptr) {
       continue;
     }
-    per_shard.push_back(dir->counters().requests_served);
-    out.requests_served += dir->counters().requests_served;
-    out.remote_routed += dir->counters().remote_routed;
+    per_shard.push_back(dir->requests_served().value());
+    out.requests_served += dir->requests_served().value();
+    out.remote_routed += dir->remote_routed().value();
   }
   out.active_shards = static_cast<int>(per_shard.size());
   const double mean =
@@ -138,8 +138,8 @@ ContentionResult RunFanout(uint16_t hosts, ManagerPolicy policy) {
       continue;
     }
     out.active_shards++;
-    out.requests_served += dir->counters().requests_served;
-    out.remote_routed += dir->counters().remote_routed;
+    out.requests_served += dir->requests_served().value();
+    out.remote_routed += dir->remote_routed().value();
   }
   return out;
 }

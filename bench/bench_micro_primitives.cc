@@ -148,9 +148,10 @@ BENCHMARK(BM_GlobalAddrPack);
 
 // --- metrics layer overhead ------------------------------------------------
 // BM_SetProtection above runs with the ViewSet's counters live (the Global
-// registry is wired in ViewSet::Create), so comparing it against
-// BM_SetProtectionMetricsOff bounds the instrumentation tax on the hottest
-// instrumented syscall path.
+// registry is wired in ViewSet::Create). Counters ignore the metrics switch,
+// and this path records no histogram, so BM_SetProtectionMetricsOff should
+// match it: a gap means the switch gates work on the hottest instrumented
+// syscall path again.
 
 void BM_SetProtectionMetricsOff(benchmark::State& state) {
   SetMetricsEnabled(false);
@@ -178,17 +179,6 @@ void BM_MetricsCounterInc(benchmark::State& state) {
   benchmark::DoNotOptimize(c.value());
 }
 BENCHMARK(BM_MetricsCounterInc);
-
-void BM_MetricsCounterIncDisabled(benchmark::State& state) {
-  SetMetricsEnabled(false);
-  Counter c;
-  for (auto _ : state) {
-    c.Inc();
-  }
-  SetMetricsEnabled(true);
-  benchmark::DoNotOptimize(c.value());
-}
-BENCHMARK(BM_MetricsCounterIncDisabled);
 
 void BM_MetricsHistogramRecord(benchmark::State& state) {
   Histogram h;

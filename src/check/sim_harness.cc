@@ -437,8 +437,8 @@ SimResult SimRun::Run() {
   }
   for (auto& node : nodes_) {
     const HostCounters c = node->counters();
-    res.batch_frames += c.batch_frames_sent.value();
-    res.batch_records += c.batch_records_sent.value();
+    res.batch_frames += c.batch_frames_sent;
+    res.batch_records += c.batch_records_sent;
   }
   Teardown();
   res.history = trace_.Snapshot();

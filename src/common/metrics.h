@@ -1,12 +1,14 @@
 // Lock-cheap observability substrate: named relaxed-atomic counters and
 // fixed-bucket latency histograms grouped in registries, RAII scoped timers,
-// snapshot/merge types, and a JSON emitter. Designed for the protocol hot
-// paths (SIGSEGV service, request/reply, transport syscalls, mprotect):
+// snapshot/merge types, and a JSON emitter. A node's registry is the only
+// place its counters live (src/common/stats.h reads them out as typed
+// blocks). Designed for the protocol hot paths (SIGSEGV service,
+// request/reply, transport syscalls, mprotect):
 //   * every update is a handful of relaxed atomic ops — no locks, no
 //     allocation, safe from signal handlers;
-//   * when metrics are disabled the whole layer collapses to one relaxed
-//     load and a predicted branch per call site, and scoped timers skip
-//     their clock reads entirely;
+//   * counters always count; the metrics switch gates only what pays for a
+//     clock read or a bucket walk — histograms and scoped timers, which skip
+//     their clock reads entirely when disabled;
 //   * registration (name lookup) takes a mutex, so call sites register once
 //     up front and keep the returned pointer, which stays valid for the
 //     registry's lifetime.
@@ -29,58 +31,21 @@ namespace metrics_internal {
 extern std::atomic<bool> g_enabled;
 }  // namespace metrics_internal
 
-// Process-wide switch, default on (MILLIPAGE_METRICS=0 in the environment
-// starts the process disabled).
+// Process-wide switch for histograms and scoped timers, default on
+// (MILLIPAGE_METRICS=0 in the environment starts the process disabled).
+// Counters ignore it.
 inline bool MetricsEnabled() {
   return metrics_internal::g_enabled.load(std::memory_order_relaxed);
 }
 void SetMetricsEnabled(bool enabled);
 
-// Always-on relaxed atomic counter, drop-in usable as a field of the
-// counter-block structs (HostCounters/ManagerCounters): copyable — a copy is
-// a relaxed load, so copying a live block yields a tear-free-per-field
-// snapshot — and arithmetic-compatible with plain uint64_t. For protocol
-// statistics that must count regardless of the metrics switch.
-class RelaxedCounter {
- public:
-  constexpr RelaxedCounter(uint64_t v = 0) : v_(v) {}  // NOLINT: implicit
-  RelaxedCounter(const RelaxedCounter& o) : v_(o.value()) {}
-  RelaxedCounter& operator=(const RelaxedCounter& o) {
-    v_.store(o.value(), std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator=(uint64_t v) {
-    v_.store(v, std::memory_order_relaxed);
-    return *this;
-  }
-
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  operator uint64_t() const { return value(); }  // NOLINT: implicit
-
-  RelaxedCounter& operator+=(uint64_t d) {
-    v_.fetch_add(d, std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator-=(uint64_t d) {
-    v_.fetch_sub(d, std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator++() { return *this += 1; }
-  uint64_t operator++(int) { return v_.fetch_add(1, std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> v_;
-};
-
-// Named counter owned by a MetricsRegistry. Gated: increments are dropped
-// while metrics are disabled.
+// Named counter owned by a MetricsRegistry: one relaxed atomic. Counts in
+// every mode — the protocol counts that the cost model, the epochs and the
+// tests read must not depend on the metrics switch, and an increment pays no
+// clock read.
 class Counter {
  public:
-  void Inc(uint64_t d = 1) {
-    if (MetricsEnabled()) {
-      v_.fetch_add(d, std::memory_order_relaxed);
-    }
-  }
+  void Inc(uint64_t d = 1) { v_.fetch_add(d, std::memory_order_relaxed); }
   uint64_t value() const { return v_.load(std::memory_order_relaxed); }
   void Reset() { v_.store(0, std::memory_order_relaxed); }
 

@@ -1,12 +1,16 @@
-// Statistics primitives: per-host counter blocks, latency histograms, and
-// per-epoch snapshots. Epochs are closed at barriers; the model library
-// prices epoch deltas to produce the Figure 6 / Figure 7 series.
+// Statistics primitives: typed read-outs of registry-stored counters, the
+// per-host counter block, and per-epoch snapshots. Counters live only in a
+// MetricsRegistry (src/common/metrics.h); HostCounters and LrcCounters are
+// plain-integer read-outs of them. Epochs are closed at barriers; the model
+// library prices epoch deltas to produce the Figure 6 / Figure 7 series.
 
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -14,108 +18,144 @@
 
 namespace millipage {
 
-// Event counters for a single DSM host. Fields mirror the quantities the
-// paper reports: fault counts by kind, message/byte volume, synchronization
-// activity, and application work units (the deterministic compute proxy).
-// Fields are relaxed atomics: application threads, the server thread, and
-// introspection readers all touch a live block concurrently, and a copy of a
-// live block (e.g. an epoch snapshot) is a tear-free-per-field read.
-struct HostCounters {
-  RelaxedCounter read_faults;
-  RelaxedCounter write_faults;
-  RelaxedCounter read_fault_bytes;   // minipage bytes fetched by read faults
-  RelaxedCounter write_fault_bytes;  // minipage bytes fetched by write faults
-  RelaxedCounter invalidations_received;
-  RelaxedCounter messages_sent;
-  RelaxedCounter bytes_sent;
-  RelaxedCounter barriers;
-  RelaxedCounter lock_acquires;
-  RelaxedCounter prefetches;
-  RelaxedCounter prefetch_bytes;
-  RelaxedCounter work_units;  // app-reported deterministic compute units
+// A typed counter read-out: a struct T of uint64_t fields, each stored as a
+// registry Counter. T::kFields is T's one {registry name, field} table; it
+// drives registration (CounterBlock), the read-out (CounterBlock::Read) and
+// the field-wise arithmetic below, so a field added to T and its table is
+// counted, exported, summed and differenced everywhere.
+template <class T>
+struct CounterField {
+  const char* name;
+  uint64_t T::*field;
+};
+
+// Field-wise += and - for a read-out T (epoch deltas, cluster totals).
+template <class T>
+struct CounterArithmetic {
+  friend T& operator+=(T& a, const T& b) {
+    for (const CounterField<T>& f : T::kFields) {
+      a.*f.field += b.*f.field;
+    }
+    return a;
+  }
+  friend T operator-(T a, const T& b) {
+    for (const CounterField<T>& f : T::kFields) {
+      a.*f.field -= b.*f.field;
+    }
+    return a;
+  }
+};
+
+// The live store behind a read-out T: one registry Counter per T::kFields
+// row, registered once. Increment through block[&T::field] — the lookup
+// folds to a constant index at a call site that names the field — and read
+// a tear-free-per-field T with Read().
+template <class T>
+class CounterBlock {
+ public:
+  explicit CounterBlock(MetricsRegistry& registry) {
+    static_assert(OneRowPerField(), "T::kFields needs exactly one row per field of T");
+    for (size_t i = 0; i < kN; ++i) {
+      counters_[i] = registry.GetCounter(T::kFields[i].name);
+    }
+  }
+
+  Counter& operator[](uint64_t T::*field) const { return *counters_[IndexOf(field)]; }
+
+  T Read() const {
+    T out;
+    for (size_t i = 0; i < kN; ++i) {
+      out.*T::kFields[i].field = counters_[i]->value();
+    }
+    return out;
+  }
+
+ private:
+  static constexpr size_t kN = std::size(T::kFields);
+
+  // As many rows as T has fields, no field twice: then every field has a
+  // row, and IndexOf always finds one.
+  static constexpr bool OneRowPerField() {
+    for (size_t i = 0; i < kN; ++i) {
+      for (size_t j = i + 1; j < kN; ++j) {
+        if (T::kFields[i].field == T::kFields[j].field) {
+          return false;
+        }
+      }
+    }
+    return sizeof(T) == kN * sizeof(uint64_t);
+  }
+
+  static constexpr size_t IndexOf(uint64_t T::*field) {
+    size_t i = 0;
+    while (T::kFields[i].field != field) {
+      ++i;
+    }
+    return i;
+  }
+
+  Counter* counters_[kN];
+};
+
+// Event counters for a single DSM host, read out of the node's registry.
+// Fields mirror the quantities the paper reports: fault counts by kind,
+// message/byte volume, synchronization activity, and application work units
+// (the deterministic compute proxy).
+struct HostCounters : CounterArithmetic<HostCounters> {
+  uint64_t read_faults = 0;
+  uint64_t write_faults = 0;
+  uint64_t read_fault_bytes = 0;   // minipage bytes fetched by read faults
+  uint64_t write_fault_bytes = 0;  // minipage bytes fetched by write faults
+  uint64_t invalidations_received = 0;
+  uint64_t messages_sent = 0;
+  uint64_t bytes_sent = 0;
+  uint64_t barriers = 0;
+  uint64_t lock_acquires = 0;
+  uint64_t prefetches = 0;
+  uint64_t prefetch_bytes = 0;
+  uint64_t work_units = 0;  // app-reported deterministic compute units
   // Requests that queued behind an in-service minipage (manager host only).
-  RelaxedCounter competing_requests;
+  uint64_t competing_requests = 0;
   // Coherence batching: multi-record frames sent and the records they
   // carried. records/frames is the realized coalescing factor.
-  RelaxedCounter batch_frames_sent;
-  RelaxedCounter batch_records_sent;
+  uint64_t batch_frames_sent = 0;
+  uint64_t batch_records_sent = 0;
   // Datagrams carrying coalescer-routed coherence traffic (invalidate
   // requests and replies, manager-side completion ACKs): multi-record
   // frames, single-record sends, and — with batching off — the one-datagram-
   // per-record protocol. coalesced_records / coalesced_msgs_sent compares
   // the same logical work across batched and unbatched runs.
-  RelaxedCounter coalesced_msgs_sent;
-  RelaxedCounter coalesced_records;
+  uint64_t coalesced_msgs_sent = 0;
+  uint64_t coalesced_records = 0;
   // Duplicate or stray invalidate replies dropped idempotently (retransmit
   // tolerance — these used to be fatal).
-  RelaxedCounter dup_invalidate_replies;
+  uint64_t dup_invalidate_replies = 0;
 
-  HostCounters& operator+=(const HostCounters& o) {
-    read_faults += o.read_faults;
-    write_faults += o.write_faults;
-    read_fault_bytes += o.read_fault_bytes;
-    write_fault_bytes += o.write_fault_bytes;
-    invalidations_received += o.invalidations_received;
-    messages_sent += o.messages_sent;
-    bytes_sent += o.bytes_sent;
-    barriers += o.barriers;
-    lock_acquires += o.lock_acquires;
-    prefetches += o.prefetches;
-    prefetch_bytes += o.prefetch_bytes;
-    work_units += o.work_units;
-    competing_requests += o.competing_requests;
-    batch_frames_sent += o.batch_frames_sent;
-    batch_records_sent += o.batch_records_sent;
-    coalesced_msgs_sent += o.coalesced_msgs_sent;
-    coalesced_records += o.coalesced_records;
-    dup_invalidate_replies += o.dup_invalidate_replies;
-    return *this;
-  }
-
-  HostCounters operator-(const HostCounters& o) const {
-    HostCounters r = *this;
-    r.read_faults -= o.read_faults;
-    r.write_faults -= o.write_faults;
-    r.read_fault_bytes -= o.read_fault_bytes;
-    r.write_fault_bytes -= o.write_fault_bytes;
-    r.invalidations_received -= o.invalidations_received;
-    r.messages_sent -= o.messages_sent;
-    r.bytes_sent -= o.bytes_sent;
-    r.barriers -= o.barriers;
-    r.lock_acquires -= o.lock_acquires;
-    r.prefetches -= o.prefetches;
-    r.prefetch_bytes -= o.prefetch_bytes;
-    r.work_units -= o.work_units;
-    r.competing_requests -= o.competing_requests;
-    r.batch_frames_sent -= o.batch_frames_sent;
-    r.batch_records_sent -= o.batch_records_sent;
-    r.coalesced_msgs_sent -= o.coalesced_msgs_sent;
-    r.coalesced_records -= o.coalesced_records;
-    r.dup_invalidate_replies -= o.dup_invalidate_replies;
-    return r;
-  }
+  static const CounterField<HostCounters> kFields[];
 };
 
-// Counters kept per manager shard (one shard on host 0 when centralized,
-// one per host when the directory is sharded). Written by the shard's server
-// thread, read from any thread (liveness reports, cluster totals): relaxed
-// atomics. Competing requests live in HostCounters only — the shard used to
-// keep a duplicate count.
-struct ManagerCounters {
-  RelaxedCounter requests_served;
-  RelaxedCounter invalidation_rounds;
-  RelaxedCounter mpt_lookups;
-  // Translated requests handed off to another host's shard (only the MPT
-  // host routes, so this is nonzero only on host 0, only when sharded).
-  RelaxedCounter remote_routed;
-
-  ManagerCounters& operator+=(const ManagerCounters& o) {
-    requests_served += o.requests_served;
-    invalidation_rounds += o.invalidation_rounds;
-    mpt_lookups += o.mpt_lookups;
-    remote_routed += o.remote_routed;
-    return *this;
-  }
+// The coalescer pair is stored as dsm.coalesced_*, not host.*: consumers
+// that add them from the typed read-out must not find them twice in a
+// snapshot.
+inline constexpr CounterField<HostCounters> HostCounters::kFields[] = {
+    {"host.read_faults", &HostCounters::read_faults},
+    {"host.write_faults", &HostCounters::write_faults},
+    {"host.read_fault_bytes", &HostCounters::read_fault_bytes},
+    {"host.write_fault_bytes", &HostCounters::write_fault_bytes},
+    {"host.invalidations_received", &HostCounters::invalidations_received},
+    {"host.messages_sent", &HostCounters::messages_sent},
+    {"host.bytes_sent", &HostCounters::bytes_sent},
+    {"host.barriers", &HostCounters::barriers},
+    {"host.lock_acquires", &HostCounters::lock_acquires},
+    {"host.prefetches", &HostCounters::prefetches},
+    {"host.prefetch_bytes", &HostCounters::prefetch_bytes},
+    {"host.work_units", &HostCounters::work_units},
+    {"host.competing_requests", &HostCounters::competing_requests},
+    {"host.batch_frames_sent", &HostCounters::batch_frames_sent},
+    {"host.batch_records_sent", &HostCounters::batch_records_sent},
+    {"dsm.coalesced_msgs_sent", &HostCounters::coalesced_msgs_sent},
+    {"dsm.coalesced_records", &HostCounters::coalesced_records},
+    {"host.dup_invalidate_replies", &HostCounters::dup_invalidate_replies},
 };
 
 // One closed epoch (barrier-to-barrier interval) for one host.

@@ -134,16 +134,6 @@ HostCounters DsmCluster::TotalCounters() const {
   return total;
 }
 
-ManagerCounters DsmCluster::TotalManagerCounters() const {
-  ManagerCounters total;
-  for (const auto& node : nodes_) {
-    if (node->directory() != nullptr) {
-      total += node->directory()->counters();
-    }
-  }
-  return total;
-}
-
 MetricsSnapshot DsmCluster::SnapshotMetrics() const {
   MetricsSnapshot total;
   for (const auto& node : nodes_) {

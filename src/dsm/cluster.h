@@ -39,11 +39,6 @@ class DsmCluster {
 
   HostCounters TotalCounters() const;
 
-  // Sum of every host's manager-shard counters. With the centralized policy
-  // this equals host 0's shard; with the sharded policy it aggregates the
-  // whole directory.
-  ManagerCounters TotalManagerCounters() const;
-
   // Cluster-wide metric aggregation: every node's SnapshotMetrics merged
   // with the process-global registry (fault handler, standalone transports).
   MetricsSnapshot SnapshotMetrics() const;

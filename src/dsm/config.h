@@ -23,7 +23,10 @@ class TraceSink;
 enum class ManagerPolicy : uint8_t {
   kCentralized,  // everything on kManagerHost — bit-compatible with the
                  // original single-manager protocol
-  kSharded,      // directory/lock/barrier state hashed across all hosts
+  kSharded,      // directory/lock/barrier state hashed across all hosts;
+                 // a non-zero host's death is answered with recovery
+                 // (membership epoch bump, shard failover, copyset repair)
+                 // instead of the sticky whole-cluster abort
 };
 
 // Reserved id that places the (single, global) barrier under the same
@@ -103,9 +106,6 @@ struct DsmConfig {
   // silently falls back to kSocket when the kernel lacks support. The
   // in-process and sim modes ignore it.
   TransportBackend transport_backend = TransportBackend::kSocket;
-  // io_uring only: kernel-side SQ polling so bursts submit with zero
-  // syscalls. Opt-in — it burns a core per host process.
-  bool uring_sqpoll = false;
 
   // Fault-delivery backend for the application views (src/os/fault_handler.h).
   // kUserfaultfd removes the signal frame + ucontext decode from every miss
@@ -121,8 +121,6 @@ struct DsmConfig {
   // requests re-routed by the manager and in-flight fetches poisoned by
   // crossing invalidations and retried. Ablation knob; default on.
   bool enable_ack = true;
-
-  uint32_t max_app_threads_per_host = 8;
 
   // ---- Liveness / failure-detection policy -------------------------------
   // The paper assumes FastMessages never loses a message and no host dies;
@@ -147,19 +145,11 @@ struct DsmConfig {
   // uniform jitter of ±retry_jitter_pct percent so a cluster of hosts that
   // timed out together does not re-fire in lockstep against the same
   // recovering shard. base = 1.0 with jitter 0 reproduces the historical
-  // fixed-interval policy. The jitter stream is seeded from
-  // retry_jitter_seed ^ host id, so a run's retry schedule is reproducible.
+  // fixed-interval policy. The jitter stream is seeded from a fixed constant
+  // ^ host id, so a run's retry schedule is reproducible.
   double retry_backoff_base = 2.0;
   uint64_t retry_backoff_max_ms = 30000;
   uint32_t retry_jitter_pct = 20;
-  uint64_t retry_jitter_seed = 0x9e3779b97f4a7c15ULL;
-
-  // ---- Membership / recovery policy --------------------------------------
-  // When true (and the directory is sharded), a peer-down verdict on a
-  // non-zero host is answered with recovery — membership epoch bump, shard
-  // failover, copyset repair — instead of the sticky whole-cluster abort.
-  // Host 0's death is always unrecoverable: it owns the MPT and allocator.
-  bool recover_on_host_death = true;
 
   // History recorder (src/common/trace.h). When non-null, the node and its
   // ViewSet append protocol events to this sink for the offline checker.

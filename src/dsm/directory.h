@@ -16,7 +16,7 @@
 
 #include "src/common/host_set.h"
 #include "src/common/logging.h"
-#include "src/common/stats.h"
+#include "src/common/metrics.h"
 #include "src/multiview/minipage.h"
 #include "src/net/message.h"
 
@@ -152,6 +152,13 @@ struct BarrierState {
 
 class Directory {
  public:
+  // Registers the shard's mgr.* counters in the owning node's registry.
+  explicit Directory(MetricsRegistry& registry)
+      : requests_served_(registry.GetCounter("mgr.requests_served")),
+        invalidation_rounds_(registry.GetCounter("mgr.invalidation_rounds")),
+        mpt_lookups_(registry.GetCounter("mgr.mpt_lookups")),
+        remote_routed_(registry.GetCounter("mgr.remote_routed")) {}
+
   DirEntry& Entry(MinipageId id) {
     MP_CHECK(id != kInvalidMinipage) << "directory access with invalid minipage id";
     if (id >= entries_.size()) {
@@ -169,8 +176,14 @@ class Directory {
 
   BarrierState& barrier() { return barrier_; }
   const BarrierState& barrier() const { return barrier_; }
-  ManagerCounters& counters() { return counters_; }
-  const ManagerCounters& counters() const { return counters_; }
+  // Shard counters. Competing requests are counted per host instead
+  // (host.competing_requests).
+  Counter& requests_served() const { return *requests_served_; }
+  Counter& invalidation_rounds() const { return *invalidation_rounds_; }
+  Counter& mpt_lookups() const { return *mpt_lookups_; }
+  // Translated requests handed off to another host's shard (only the MPT
+  // host routes, so this is nonzero only on host 0, only when sharded).
+  Counter& remote_routed() const { return *remote_routed_; }
 
   size_t num_entries() const { return entries_.size(); }
   // Lock ids with table slots so far (repair iterates [0, num_locks)).
@@ -191,7 +204,10 @@ class Directory {
   std::vector<DirEntry> entries_;
   std::vector<LockEntry> locks_;
   BarrierState barrier_;
-  ManagerCounters counters_;
+  Counter* const requests_served_;
+  Counter* const invalidation_rounds_;
+  Counter* const mpt_lookups_;
+  Counter* const remote_routed_;
 };
 
 }  // namespace millipage

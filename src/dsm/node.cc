@@ -58,7 +58,7 @@ Result<std::unique_ptr<DsmNode>> DsmNode::Create(const DsmConfig& config, HostId
   // Directory shard: host 0 holds the single shard when centralized; every
   // host holds one when the manager role is sharded.
   if (me == kManagerHost || config.manager_policy == ManagerPolicy::kSharded) {
-    node->directory_ = std::make_unique<Directory>();
+    node->directory_ = std::make_unique<Directory>(node->metrics_);
   }
   return node;
 }
@@ -74,11 +74,6 @@ DsmNode::DsmNode(const DsmConfig& config, HostId me, Transport* transport)
   auto init = std::make_unique<Membership>();
   init->live = HostSet::AllBelow(config.num_hosts);
   PublishMembership(std::move(init));
-  read_fault_ns_ = metrics_.GetHistogram("dsm.read_fault_ns");
-  write_fault_ns_ = metrics_.GetHistogram("dsm.write_fault_ns");
-  barrier_ns_ = metrics_.GetHistogram("dsm.barrier_ns");
-  lock_ns_ = metrics_.GetHistogram("dsm.lock_ns");
-  recovery_ns_ = metrics_.GetHistogram("dsm.recovery_ns");
   slots_.set_handoff_histogram(metrics_.GetHistogram("dsm.reply_handoff_ns"));
 }
 
@@ -121,58 +116,16 @@ uint32_t DsmNode::ThreadSlot() {
   return slot;
 }
 
-void DsmNode::AddWorkUnits(uint64_t n) { counters_.work_units += n; }
+void DsmNode::AddWorkUnits(uint64_t n) { host_[&HostCounters::work_units].Inc(n); }
 
 std::vector<EpochRecord> DsmNode::epochs() const {
   std::lock_guard<std::mutex> lock(epoch_mu_);
   return epochs_;
 }
 
-uint64_t DsmNode::bounced_requests() const {
-  return bounced_.load(std::memory_order_relaxed);
-}
-
-MetricsSnapshot DsmNode::SnapshotMetrics() const {
-  MetricsSnapshot s = metrics_.Snapshot();
-  const HostCounters c = counters_;
-  auto& cs = s.counters;
-  cs["host.read_faults"] += c.read_faults;
-  cs["host.write_faults"] += c.write_faults;
-  cs["host.read_fault_bytes"] += c.read_fault_bytes;
-  cs["host.write_fault_bytes"] += c.write_fault_bytes;
-  cs["host.invalidations_received"] += c.invalidations_received;
-  cs["host.messages_sent"] += c.messages_sent;
-  cs["host.bytes_sent"] += c.bytes_sent;
-  cs["host.barriers"] += c.barriers;
-  cs["host.lock_acquires"] += c.lock_acquires;
-  cs["host.prefetches"] += c.prefetches;
-  cs["host.prefetch_bytes"] += c.prefetch_bytes;
-  cs["host.work_units"] += c.work_units;
-  cs["host.competing_requests"] += c.competing_requests;
-  cs["host.batch_frames_sent"] += c.batch_frames_sent;
-  cs["host.batch_records_sent"] += c.batch_records_sent;
-  cs["host.dup_invalidate_replies"] += c.dup_invalidate_replies;
-  cs["dsm.fault_retries"] += fault_retries();
-  cs["dsm.timeout_retries"] += timeout_retries();
-  cs["dsm.stale_replies"] += stale_replies();
-  cs["dsm.bounced_requests"] += bounced_requests();
-  cs["dsm.epoch_bumps"] += epoch_bumps();
-  cs["dsm.shards_adopted"] += shards_adopted();
-  cs["dsm.copyset_repairs"] += copyset_repairs();
-  cs["dsm.minipages_lost"] += minipages_lost();
-  if (directory_ != nullptr) {
-    const ManagerCounters m = directory_->counters();
-    cs["mgr.requests_served"] += m.requests_served;
-    cs["mgr.invalidation_rounds"] += m.invalidation_rounds;
-    cs["mgr.mpt_lookups"] += m.mpt_lookups;
-    cs["mgr.remote_routed"] += m.remote_routed;
-  }
-  return s;
-}
-
 Status DsmNode::TrySendMsg(HostId to, const MsgHeader& h, const void* payload, size_t len) {
-  counters_.messages_sent++;
-  counters_.bytes_sent += sizeof(MsgHeader) + len;
+  host_[&HostCounters::messages_sent].Inc();
+  host_[&HostCounters::bytes_sent].Inc(sizeof(MsgHeader) + len);
   // Stamp the wire copy with the sender's membership epoch (high bits of
   // `from`); HandleMessage strips it on receive, so all internal logic sees
   // pure host ids. At epoch 0 the stamped field is bit-identical to the id.
@@ -196,8 +149,8 @@ Status DsmNode::TrySendRecords(HostId to, const MsgHeader* items, size_t n) {
   }
   MsgHeader frame = items[0];
   frame.flags |= kFlagBatched;
-  counters_.batch_frames_sent++;
-  counters_.batch_records_sent += n;
+  host_[&HostCounters::batch_frames_sent].Inc();
+  host_[&HostCounters::batch_records_sent].Inc(n);
   return TrySendMsg(to, frame, recs, n * sizeof(BatchRecord));
 }
 
@@ -320,13 +273,14 @@ Status DsmNode::TryBarrier() {
   }
   // The manager stamps the generation being released into the minipage field.
   Trace(TraceEventKind::kBarrierRelease, ~0u, 0, reply.minipage);
-  counters_.barriers++;
+  host_[&HostCounters::barriers].Inc();
   std::lock_guard<std::mutex> lock(epoch_mu_);
+  const HostCounters now = counters();
   EpochRecord rec;
   rec.epoch = epoch_++;
   rec.host = me_;
-  rec.delta = counters_ - epoch_snapshot_;
-  epoch_snapshot_ = counters_;
+  rec.delta = now - epoch_snapshot_;
+  epoch_snapshot_ = now;
   epochs_.push_back(rec);
   return Status::Ok();
 }
@@ -372,7 +326,7 @@ Status DsmNode::TryLock(uint32_t lock_id) {
     std::lock_guard<std::mutex> lock(held_mu_);
     held_locks_.insert(lock_id);
   }
-  counters_.lock_acquires++;
+  host_[&HostCounters::lock_acquires].Inc();
   return Status::Ok();
 }
 
@@ -406,7 +360,7 @@ void DsmNode::Prefetch(GlobalAddr a) {
   h.from = me_;
   h.seq = kNoWaitSlot;
   h.addr = a.Pack();
-  counters_.prefetches++;
+  host_[&HostCounters::prefetches].Inc();
   SendMsg(kManagerHost, h);
 }
 
@@ -450,7 +404,7 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
     }
     issued += n;
   }
-  counters_.prefetches += issued;
+  host_[&HostCounters::prefetches].Inc(issued);
   // Split transaction: collect the replies (any order) and ACK each one so
   // the manager releases the minipages. ACKs accumulate per owning shard and
   // flush as batched frames — but with batching off every ACK flushes at
@@ -485,7 +439,7 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
       continue;
     }
     collected++;
-    counters_.prefetch_bytes += reply->has_payload() ? reply->pgsize : 0;
+    host_[&HostCounters::prefetch_bytes].Inc(reply->has_payload() ? reply->pgsize : 0);
     if (config_.enable_ack) {
       MsgHeader ack;
       ack.set_type(MsgType::kAck);
@@ -535,9 +489,9 @@ Status DsmNode::FaultService(uint32_t view, uint64_t offset, bool is_write) {
   const uint64_t t0 = timed ? MonotonicNowNs() : 0;
   const char* const what = is_write ? "write fault" : "read fault";
   if (is_write) {
-    counters_.write_faults++;
+    host_[&HostCounters::write_faults].Inc();
   } else {
-    counters_.read_faults++;
+    host_[&HostCounters::read_faults].Inc();
   }
   const uint32_t slot = ThreadSlot();
   const uint64_t addr = GlobalAddr{view, offset}.Pack();
@@ -589,7 +543,7 @@ Status DsmNode::FaultService(uint32_t view, uint64_t offset, bool is_write) {
       return LivenessFailure(what, r.status());
     }
     timeouts++;
-    timeout_retries_.fetch_add(1, std::memory_order_relaxed);
+    timeout_retries_->Inc();
     MP_LOG(Error) << "host " << me_ << ": " << what << " timed out after "
                   << attempt_timeout_ms << " ms (attempt " << timeouts << "/"
                   << config_.max_request_retries + 1 << "); re-sending";
@@ -607,9 +561,9 @@ Status DsmNode::FaultService(uint32_t view, uint64_t offset, bool is_write) {
 
   const uint64_t data_bytes = reply.has_payload() ? reply.pgsize : 0;
   if (is_write) {
-    counters_.write_fault_bytes += data_bytes;
+    host_[&HostCounters::write_fault_bytes].Inc(data_bytes);
   } else {
-    counters_.read_fault_bytes += data_bytes;
+    host_[&HostCounters::read_fault_bytes].Inc(data_bytes);
   }
   if (timed) {
     (is_write ? write_fault_ns_ : read_fault_ns_)->RecordAlways(MonotonicNowNs() - t0);
@@ -642,7 +596,8 @@ uint64_t DsmNode::RetryTimeoutMs(const DsmConfig& cfg, HostId host, uint32_t att
     // A fresh, deterministically seeded stream per (host, attempt): the
     // schedule is reproducible yet decorrelated across hosts, so a cluster
     // that timed out together does not re-fire in lockstep.
-    Rng rng(cfg.retry_jitter_seed ^ (static_cast<uint64_t>(host) << 32) ^ attempt);
+    constexpr uint64_t kJitterSeed = 0x9e3779b97f4a7c15ULL;
+    Rng rng(kJitterSeed ^ (static_cast<uint64_t>(host) << 32) ^ attempt);
     const uint64_t span = ms * cfg.retry_jitter_pct / 100;
     if (span > 0) {
       ms = ms - span + rng.Below(2 * span + 1);
@@ -766,7 +721,7 @@ void DsmNode::HandleMessage(const MsgHeader& raw) {
   h.from = WireCodec::Host(raw.from);
   if (h.msg_type() != MsgType::kEpochBump) {
     if (dead_set().Contains(h.from)) {
-      stale_replies_.fetch_add(1, std::memory_order_relaxed);
+      stale_replies_->Inc();
       return;
     }
     const uint32_t tag = WireCodec::EpochTag(raw.from);
@@ -964,9 +919,9 @@ void DsmNode::DispatchOne(const MsgHeader& h) {
 // ---- Coherence-traffic coalescer -------------------------------------------
 
 void DsmNode::SendCoalesced(HostId to, const MsgHeader& h) {
-  counters_.coalesced_records++;
+  host_[&HostCounters::coalesced_records].Inc();
   if (!config_.batch_coherence) {
-    counters_.coalesced_msgs_sent++;
+    host_[&HostCounters::coalesced_msgs_sent].Inc();
     SendMsg(to, h);
     return;
   }
@@ -1030,7 +985,7 @@ void DsmNode::SendBatch(PendingBatch& b) {
     b.items.clear();
     return;
   }
-  counters_.coalesced_msgs_sent++;
+  host_[&HostCounters::coalesced_msgs_sent].Inc();
   LogSendFailure(b.to, b.items[0], TrySendRecords(b.to, b.items.data(), b.items.size()));
   b.items.clear();
 }
@@ -1040,7 +995,7 @@ void DsmNode::SendBatch(PendingBatch& b) {
 bool DsmNode::MgrTranslate(MsgHeader* h) {
   const GlobalAddr a = h->global_addr();
   const Minipage* mp = mpt_->Lookup(a.view, a.offset);
-  directory_->counters().mpt_lookups++;
+  directory_->mpt_lookups().Inc();
   if (mp == nullptr && a.offset % PageSize() == 0) {
     // The userfaultfd backend reports fault addresses page-masked, so a
     // fault on a vpage whose minipage starts mid-page misses the byte-exact
@@ -1078,7 +1033,7 @@ void DsmNode::MgrTranslateAndRoute(const MsgHeader& h) {
   }
   // Hand the translated (but still unforwarded) header to the owning shard;
   // service, ACKs, and replies then bypass this host entirely.
-  directory_->counters().remote_routed++;
+  directory_->remote_routed().Inc();
   SendMsg(owner, copy);
 }
 
@@ -1135,7 +1090,7 @@ void DsmNode::MgrStartService(MsgHeader h) {
     e.copyset = HostSet::Single(kManagerHost);
     e.writable = true;
   }
-  directory_->counters().requests_served++;
+  directory_->requests_served().Inc();
   if (e.in_service) {
     // A request queued behind another HOST's transaction is contention (the
     // paper's "competing requests"). Queued behind the same host's own
@@ -1143,7 +1098,7 @@ void DsmNode::MgrStartService(MsgHeader h) {
     // PREFETCH blocks nobody (its issuer is not waiting) — neither is
     // priced as contention.
     if (h.from != e.in_service_for && (h.flags & kFlagPrefetch) == 0) {
-      counters_.competing_requests++;
+      host_[&HostCounters::competing_requests].Inc();
     }
     e.pending.push_back(h);
     return;
@@ -1242,7 +1197,7 @@ void DsmNode::MgrProcessWrite(const MsgHeader& h, DirEntry& e) {
   e.pending_write = h;
   e.write_remaining = remaining;
   e.invalidates_pending.Clear();
-  directory_->counters().invalidation_rounds++;
+  directory_->invalidation_rounds().Inc();
   const HostSet& live = live_set();
   // Burst window: with coalescing off (or single-record batches) this
   // fan-out is one datagram per copyset member; a batching transport submits
@@ -1279,7 +1234,7 @@ void DsmNode::MgrHandleInvalidateReply(const MsgHeader& h) {
   // Invalidation is idempotent at the replica, so the extra reply carries no
   // information; drop it instead of taking the whole cluster down.
   if (!e.write_pending || !e.invalidates_pending.Contains(h.from)) {
-    counters_.dup_invalidate_replies++;
+    host_[&HostCounters::dup_invalidate_replies].Inc();
     return;
   }
   e.invalidates_pending.Remove(h.from);
@@ -1333,7 +1288,7 @@ void DsmNode::MgrHandleAck(const MsgHeader& h) {
     if (e.copyset.Empty() && !e.lost) {
       e.lost = true;
       e.writable = false;
-      minipages_lost_.fetch_add(1, std::memory_order_relaxed);
+      minipages_lost_->Inc();
       MP_LOG(Error) << "host " << me_ << ": minipage " << h.minipage
                     << " lost: host " << h.from << " renounced the only copy";
       while (!e.pending.empty()) {
@@ -1851,7 +1806,7 @@ void DsmNode::HandleInvalidateRequest(const MsgHeader& h) {
       }
     }
   }
-  counters_.invalidations_received++;
+  host_[&HostCounters::invalidations_received].Inc();
   MsgHeader reply = h;
   reply.set_type(MsgType::kInvalidateReply);
   // The manager retires invalidations by *replier* bit, so the reply must
@@ -1887,7 +1842,7 @@ void DsmNode::HandleReply(const MsgHeader& h) {
       if (f.poisoned.exchange(false, std::memory_order_acq_rel)) {
         // The fetched copy was invalidated in flight; leave the vpage
         // inaccessible and re-issue the request for fresh data.
-        fault_retries_.fetch_add(1, std::memory_order_relaxed);
+        fault_retries_->Inc();
         MsgHeader retry;
         retry.set_type(h.msg_type() == MsgType::kReadReply ? MsgType::kReadRequest
                                                            : MsgType::kWriteRequest);
@@ -1928,7 +1883,7 @@ void DsmNode::HandleReply(const MsgHeader& h) {
   }
   if (h.seq == kNoWaitSlot) {
     // Prefetch completion: account and ACK on behalf of the (absent) waiter.
-    counters_.prefetch_bytes += h.has_payload() ? h.pgsize : 0;
+    host_[&HostCounters::prefetch_bytes].Inc(h.has_payload() ? h.pgsize : 0);
     if (config_.enable_ack) {
       MsgHeader ack = h;
       ack.set_type(MsgType::kAck);
@@ -1981,7 +1936,7 @@ void DsmNode::Bounce(MsgHeader h) {
   // not arrived) — a window that only opens when read ACKs are elided.
   // Return it to the owning shard for re-routing against current directory
   // state.
-  bounced_.fetch_add(1, std::memory_order_relaxed);
+  bounced_->Inc();
   h.flags |= kFlagBounced;
   SendMsg(LiveManagerOf(h.minipage), h);
 }
@@ -2017,7 +1972,7 @@ Result<MsgHeader> DsmNode::AwaitReply(uint32_t slot, uint32_t gen, uint64_t time
     // Late reply to an abandoned attempt. Discard it — but a discarded data
     // reply must still be ACKed (when the protocol serializes on ACKs),
     // otherwise the manager would hold the minipage in service forever.
-    stale_replies_.fetch_add(1, std::memory_order_relaxed);
+    stale_replies_->Inc();
     const MsgType t = r->msg_type();
     // Lost-minipage error replies never opened a service transaction: no ACK.
     const bool is_data = (t == MsgType::kReadReply || t == MsgType::kWriteReply) &&
@@ -2119,7 +2074,7 @@ void DsmNode::ApplyMembership(uint32_t epoch, const HostSet& dead, bool broadcas
   next->live = HostSet::AllBelow(config_.num_hosts);
   next->live.SubtractAll(new_dead);
   PublishMembership(std::move(next));
-  epoch_bumps_.fetch_add(1, std::memory_order_relaxed);
+  epoch_bumps_->Inc();
   // Trace contract: one kEpochBump event per newly-dead host, arg2 = the
   // dead host id + 1 (0 means the epoch advanced with no new deaths — a
   // merge of already-known membership). The checker reconstructs each
@@ -2179,7 +2134,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
       const HostId c = static_cast<HostId>((dead + probe) % config_.num_hosts);
       if (live.Contains(c)) {
         if (c == me_) {
-          shards_adopted_.fetch_add(1, std::memory_order_relaxed);
+          shards_adopted_->Inc();
         }
         break;
       }
@@ -2197,7 +2152,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
     const bool had_copy = e.HasCopy(dead);
     if (had_copy) {
       e.RemoveCopy(dead);
-      copyset_repairs_.fetch_add(1, std::memory_order_relaxed);
+      copyset_repairs_->Inc();
     }
     if (e.rebuilding) {
       e.rebuild_pending.Remove(dead);
@@ -2243,7 +2198,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
       e.lost = true;
     }
     if (e.lost) {
-      minipages_lost_.fetch_add(1, std::memory_order_relaxed);
+      minipages_lost_->Inc();
       Trace(TraceEventKind::kMinipageLost, id, 0, dead);
       if (e.write_pending) {
         ReplyLost(e.pending_write);
@@ -2435,7 +2390,7 @@ void DsmNode::FinishCopysetRebuild(MinipageId id) {
   if (e.copyset.Empty()) {
     // No live host holds a copy: the id died with its owner.
     e.lost = true;
-    minipages_lost_.fetch_add(1, std::memory_order_relaxed);
+    minipages_lost_->Inc();
     Trace(TraceEventKind::kMinipageLost, id, 0, 0);
     while (!e.pending.empty()) {
       ReplyLost(e.pending.front());
@@ -2473,9 +2428,9 @@ std::string DsmNode::LivenessReport() const {
   });
   char buf[256];
   snprintf(buf, sizeof(buf), "} timeout_retries=%llu stale_replies=%llu fault_retries=%llu",
-           (unsigned long long)timeout_retries_.load(std::memory_order_relaxed),
-           (unsigned long long)stale_replies_.load(std::memory_order_relaxed),
-           (unsigned long long)fault_retries_.load(std::memory_order_relaxed));
+           (unsigned long long)timeout_retries_->value(),
+           (unsigned long long)stale_replies_->value(),
+           (unsigned long long)fault_retries_->value());
   s += buf;
   if (directory_ != nullptr) {
     // Manager-side view: how much protocol state is wedged mid-transaction.

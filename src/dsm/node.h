@@ -170,12 +170,9 @@ class DsmNode {
   const HostSet& dead_set() const { return membership().dead; }
   const HostSet& live_set() const { return membership().live; }
   // True when a peer death is answered with epoch-bump recovery instead of
-  // the sticky whole-cluster abort: sharded directory, recovery enabled. A
-  // dead host 0 is always unrecoverable (it owns the MPT and allocator).
-  bool RecoveryEnabled() const {
-    return config_.recover_on_host_death &&
-           config_.manager_policy == ManagerPolicy::kSharded;
-  }
+  // the sticky whole-cluster abort: the directory is sharded. A dead host 0
+  // is always unrecoverable (it owns the MPT and allocator).
+  bool RecoveryEnabled() const { return config_.manager_policy == ManagerPolicy::kSharded; }
   // Marks `peer` for recovery processing (the simulator's injection point;
   // the threaded path arrives through the transport's peer-down callback).
   void InjectPeerDeath(HostId peer) {
@@ -193,16 +190,16 @@ class DsmNode {
 
   // Per-attempt reply deadline for idempotent-fetch attempt `attempt`
   // (0-based): request_timeout_ms * retry_backoff_base^attempt, capped at
-  // retry_backoff_max_ms, with seeded ±retry_jitter_pct% jitter. Pure
-  // function of (cfg, host, attempt) so a run's retry schedule is
+  // retry_backoff_max_ms, with ±retry_jitter_pct% jitter drawn from a fixed
+  // seed. Pure function of (cfg, host, attempt) so a run's retry schedule is
   // reproducible; exposed for tests.
   static uint64_t RetryTimeoutMs(const DsmConfig& cfg, HostId host, uint32_t attempt);
 
-  // Recovery counters (also exported as dsm.* in SnapshotMetrics).
-  uint64_t epoch_bumps() const { return epoch_bumps_.load(std::memory_order_relaxed); }
-  uint64_t shards_adopted() const { return shards_adopted_.load(std::memory_order_relaxed); }
-  uint64_t copyset_repairs() const { return copyset_repairs_.load(std::memory_order_relaxed); }
-  uint64_t minipages_lost() const { return minipages_lost_.load(std::memory_order_relaxed); }
+  // Recovery counters (dsm.* in the registry).
+  uint64_t epoch_bumps() const { return epoch_bumps_->value(); }
+  uint64_t shards_adopted() const { return shards_adopted_->value(); }
+  uint64_t copyset_repairs() const { return copyset_repairs_->value(); }
+  uint64_t minipages_lost() const { return minipages_lost_->value(); }
   // True once this host has learned minipage `id` is permanently lost.
   bool IsLost(uint32_t id) const {
     std::lock_guard<std::mutex> lock(lost_mu_);
@@ -215,16 +212,17 @@ class DsmNode {
 
   // ---- Introspection -----------------------------------------------------
 
-  HostCounters counters() const { return counters_; }
+  // Typed read-out of this host's host.* counters from the registry.
+  HostCounters counters() const { return host_.Read(); }
   std::vector<EpochRecord> epochs() const;
   HistogramSnapshot read_fault_latency() const { return read_fault_ns_->Snapshot(); }
   HistogramSnapshot write_fault_latency() const { return write_fault_ns_->Snapshot(); }
-  uint64_t bounced_requests() const;
-  uint64_t fault_retries() const { return fault_retries_.load(std::memory_order_relaxed); }
+  uint64_t bounced_requests() const { return bounced_->value(); }
+  uint64_t fault_retries() const { return fault_retries_->value(); }
   // Idempotent requests re-sent after a reply deadline expired.
-  uint64_t timeout_retries() const { return timeout_retries_.load(std::memory_order_relaxed); }
+  uint64_t timeout_retries() const { return timeout_retries_->value(); }
   // Late replies to abandoned attempts, discarded by generation check.
-  uint64_t stale_replies() const { return stale_replies_.load(std::memory_order_relaxed); }
+  uint64_t stale_replies() const { return stale_replies_->value(); }
   // Peers this node has observed down.
   HostSet peers_down_set() const {
     std::lock_guard<std::mutex> lock(peer_down_mu_);
@@ -235,16 +233,16 @@ class DsmNode {
   // directory/barrier occupancy). Best-effort racy read, for diagnostics.
   std::string LivenessReport() const;
 
-  // This node's metric registry (fault/sync latency histograms plus whatever
-  // the node's ViewSet records). Register bench- or app-specific metrics
-  // here for per-host attribution.
+  // This node's metric registry: every counter of this host (host.*, dsm.*,
+  // and the shard's mgr.*), the fault/sync latency histograms, and whatever
+  // the node's ViewSet records (mv.*). Register bench- or app-specific
+  // metrics here for per-host attribution.
   MetricsRegistry& metrics() { return metrics_; }
 
   // Everything observable about this host under flat names: the registry's
-  // histograms, HostCounters as host.*, liveness counters and manager-shard
-  // counters as dsm.* / mgr.*. Merge snapshots across nodes (or feed
-  // DumpJson) for cluster-wide views.
-  MetricsSnapshot SnapshotMetrics() const;
+  // snapshot. Merge snapshots across nodes (or feed DumpJson) for
+  // cluster-wide views.
+  MetricsSnapshot SnapshotMetrics() const { return metrics_.Snapshot(); }
 
   // This host's manager shard (null on non-manager hosts when centralized);
   // mpt/allocator are null everywhere but host 0.
@@ -409,6 +407,29 @@ class DsmNode {
   // a node allocated at a dead node's address cannot inherit its slots).
   const uint64_t uid_;
   Transport* const transport_;
+
+  // Per-node metric registry, the only store of this host's counters. Each
+  // counter and histogram is registered once, here or in the constructor,
+  // and updated lock-free on the hot paths. Declared before every member
+  // that keeps a pointer into it (views_, slots_, directory_).
+  MetricsRegistry metrics_;
+  CounterBlock<HostCounters> host_{metrics_};
+  Counter* const fault_retries_ = metrics_.GetCounter("dsm.fault_retries");
+  Counter* const timeout_retries_ = metrics_.GetCounter("dsm.timeout_retries");
+  Counter* const stale_replies_ = metrics_.GetCounter("dsm.stale_replies");
+  Counter* const bounced_ = metrics_.GetCounter("dsm.bounced_requests");
+  Counter* const epoch_bumps_ = metrics_.GetCounter("dsm.epoch_bumps");
+  Counter* const shards_adopted_ = metrics_.GetCounter("dsm.shards_adopted");
+  Counter* const copyset_repairs_ = metrics_.GetCounter("dsm.copyset_repairs");
+  Counter* const minipages_lost_ = metrics_.GetCounter("dsm.minipages_lost");
+  // Full fault service, entry to retry.
+  Histogram* const read_fault_ns_ = metrics_.GetHistogram("dsm.read_fault_ns");
+  Histogram* const write_fault_ns_ = metrics_.GetHistogram("dsm.write_fault_ns");
+  Histogram* const barrier_ns_ = metrics_.GetHistogram("dsm.barrier_ns");  // entry to release
+  Histogram* const lock_ns_ = metrics_.GetHistogram("dsm.lock_ns");        // request to grant
+  // Host-death recovery, detect to done.
+  Histogram* const recovery_ns_ = metrics_.GetHistogram("dsm.recovery_ns");
+
   std::unique_ptr<ViewSet> views_;
   WaitSlots slots_;
 
@@ -440,7 +461,6 @@ class DsmNode {
     std::atomic<bool> poisoned{false};
   };
   InflightFetch inflight_[WaitSlots::kMaxSlots];
-  std::atomic<uint64_t> fault_retries_{0};
   uint32_t replica_rotation_ = 0;  // manager server thread only
 
   // Liveness state. slot_gen_ is written by the slot-owning app thread and
@@ -449,8 +469,6 @@ class DsmNode {
   std::atomic<bool> draining_{false};
   mutable std::mutex peer_down_mu_;
   HostSet peer_down_;  // peers observed down (guarded by peer_down_mu_)
-  std::atomic<uint64_t> timeout_retries_{0};
-  std::atomic<uint64_t> stale_replies_{0};
 
   // Membership: (epoch, dead set, live set) published as an immutable
   // snapshot behind one atomic pointer, so app threads routing by membership
@@ -503,29 +521,12 @@ class DsmNode {
   std::set<uint32_t> held_locks_;  // locks this host currently holds (probe answers)
   mutable std::mutex lost_mu_;
   std::set<uint32_t> lost_minipages_;  // ids learned permanently lost
-  std::atomic<uint64_t> epoch_bumps_{0};
-  std::atomic<uint64_t> shards_adopted_{0};
-  std::atomic<uint64_t> copyset_repairs_{0};
-  std::atomic<uint64_t> minipages_lost_{0};
 
-  // Lock-free event counters (relaxed-atomic fields; see stats.h). The mutex
-  // guards only the epoch bookkeeping closed at barriers.
-  HostCounters counters_;
+  // Epoch bookkeeping closed at barriers: deltas of counters() read-outs.
   mutable std::mutex epoch_mu_;
   HostCounters epoch_snapshot_;
   std::vector<EpochRecord> epochs_;
   uint32_t epoch_ = 0;
-
-  // Per-node metric registry; the named pointers are registered once in the
-  // constructor and updated lock-free on the hot paths.
-  MetricsRegistry metrics_;
-  Histogram* read_fault_ns_ = nullptr;   // full fault service, entry to retry
-  Histogram* write_fault_ns_ = nullptr;
-  Histogram* barrier_ns_ = nullptr;      // barrier entry to release
-  Histogram* lock_ns_ = nullptr;         // lock request to grant
-  Histogram* recovery_ns_ = nullptr;     // host-death recovery, detect to done
-
-  std::atomic<uint64_t> bounced_{0};
 };
 
 }  // namespace millipage

@@ -37,7 +37,7 @@ bool ChildFaultTrampoline(void* ctx, void* addr, bool is_write) {
   // uring request on a kernel without multishot receive still comes up on
   // the socket backend (mirroring the fault-backend fallback below).
   MeshTransport mesh_transport =
-      MakeMeshTransport(config.transport_backend, me, std::move(fds), config.uring_sqpoll);
+      MakeMeshTransport(config.transport_backend, me, std::move(fds));
   if (mesh_transport.transport == nullptr) {
     MP_LOG(Error) << "host " << me << ": transport init failed";
     _exit(2);

@@ -107,20 +107,7 @@ void LrcCluster::RunOnManager(const std::function<void(LrcNode&)>& fn) {
 LrcCounters LrcCluster::TotalCounters() const {
   LrcCounters total;
   for (const auto& node : nodes_) {
-    const LrcCounters c = node->counters();
-    total.read_faults += c.read_faults;
-    total.write_faults += c.write_faults;
-    total.fetches += c.fetches;
-    total.fetch_bytes += c.fetch_bytes;
-    total.local_upgrades += c.local_upgrades;
-    total.twins_created += c.twins_created;
-    total.diffs_flushed += c.diffs_flushed;
-    total.diff_bytes += c.diff_bytes;
-    total.diffs_applied += c.diffs_applied;
-    total.invalidation_sweeps += c.invalidation_sweeps;
-    total.messages_sent += c.messages_sent;
-    total.barriers += c.barriers;
-    total.lock_acquires += c.lock_acquires;
+    total += node->counters();
   }
   return total;
 }

@@ -40,7 +40,7 @@ Result<std::unique_ptr<LrcNode>> LrcNode::Create(const DsmConfig& config, HostId
   // Sync tables (locks, barrier): one shard on host 0 when centralized,
   // one per host when sharded — lock ids hash across hosts like minipages.
   if (me == kManagerHost || config.manager_policy == ManagerPolicy::kSharded) {
-    node->directory_ = std::make_unique<Directory>();
+    node->directory_ = std::make_unique<Directory>(node->metrics_);
   }
   return node;
 }
@@ -71,16 +71,8 @@ uint32_t LrcNode::ThreadSlot() {
   return static_cast<uint32_t>(tls_lrc_slot);
 }
 
-LrcCounters LrcNode::counters() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return counters_;
-}
-
 void LrcNode::SendMsg(HostId to, const MsgHeader& h, const void* payload, size_t len) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.messages_sent++;
-  }
+  stats_[&LrcCounters::messages_sent].Inc();
   MP_CHECK_OK(transport_->Send(to, h, payload, len));
 }
 
@@ -121,8 +113,7 @@ void LrcNode::Barrier() {
   SendMsg(config_.BarrierManager(), h);
   (void)slots_.Wait(h.seq);
   InvalidateCache();  // acquire
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  counters_.barriers++;
+  stats_[&LrcCounters::barriers].Inc();
 }
 
 void LrcNode::Lock(uint32_t lock_id) {
@@ -134,8 +125,7 @@ void LrcNode::Lock(uint32_t lock_id) {
   SendMsg(config_.ManagerOf(lock_id), h);
   (void)slots_.Wait(h.seq);
   InvalidateCache();  // acquire
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  counters_.lock_acquires++;
+  stats_[&LrcCounters::lock_acquires].Inc();
 }
 
 void LrcNode::Unlock(uint32_t lock_id) {
@@ -151,14 +141,7 @@ void LrcNode::Unlock(uint32_t lock_id) {
 // ---- Fault path ----------------------------------------------------------------
 
 bool LrcNode::OnFault(uint32_t view, uint64_t offset, bool is_write) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (is_write) {
-      counters_.write_faults++;
-    } else {
-      counters_.read_faults++;
-    }
-  }
+  stats_[is_write ? &LrcCounters::write_faults : &LrcCounters::read_faults].Inc();
   // Known minipage? (geometry cached from an earlier fetch/serve)
   Minipage geometry;
   bool known = false;
@@ -185,9 +168,8 @@ bool LrcNode::OnFault(uint32_t view, uint64_t offset, bool is_write) {
       dirty_.push_back(geometry.id);
     }
     MP_CHECK_OK(views_->SetProtection(geometry, Protection::kReadWrite));
-    std::lock_guard<std::mutex> slock(stats_mu_);
-    counters_.local_upgrades++;
-    counters_.twins_created++;
+    stats_[&LrcCounters::local_upgrades].Inc();
+    stats_[&LrcCounters::twins_created].Inc();
     return true;
   }
 
@@ -244,10 +226,7 @@ void LrcNode::FlushDirty() {
     return;
   }
   flush_acks_pending_.store(static_cast<uint32_t>(outgoing.size()), std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.diffs_flushed += outgoing.size();
-  }
+  stats_[&LrcCounters::diffs_flushed].Inc(outgoing.size());
   for (auto& [mp, diff] : outgoing) {
     MsgHeader h;
     h.set_type(MsgType::kDiffUpdate);
@@ -256,10 +235,7 @@ void LrcNode::FlushDirty() {
     h.addr = GlobalAddr{mp.view, mp.offset}.Pack();
     h.minipage = mp.id;
     h.privbase = mp.offset;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      counters_.diff_bytes += diff.encoded.size();
-    }
+    stats_[&LrcCounters::diff_bytes].Inc(diff.encoded.size());
     SendMsg(HomeOf(mp.id), h, diff.encoded.data(), diff.encoded.size());
   }
   (void)slots_.Wait(ThreadSlot());  // posted when the last kDiffAck arrives
@@ -272,8 +248,7 @@ void LrcNode::InvalidateCache() {
     MP_CHECK_OK(views_->SetProtection(e.geometry, Protection::kNoAccess));
   }
   cache_.clear();
-  std::lock_guard<std::mutex> slock(stats_mu_);
-  counters_.invalidation_sweeps++;
+  stats_[&LrcCounters::invalidation_sweeps].Inc();
 }
 
 // ---- Server thread -----------------------------------------------------------------
@@ -461,9 +436,8 @@ void LrcNode::ServeFetch(const MsgHeader& h) {
   reply.set_type(FetchReplyType(h));
   reply.flags = 0;
   SendMsg(h.from, reply, views_->PrivAddr(mp.offset), mp.length);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  counters_.fetches++;
-  counters_.fetch_bytes += mp.length;
+  stats_[&LrcCounters::fetches].Inc();
+  stats_[&LrcCounters::fetch_bytes].Inc(mp.length);
 }
 
 void LrcNode::ApplyIncomingDiff(const MsgHeader& h, std::vector<std::byte> payload) {
@@ -479,10 +453,7 @@ void LrcNode::ApplyIncomingDiff(const MsgHeader& h, std::vector<std::byte> paylo
   Diff diff;
   diff.encoded = std::move(payload);
   MP_CHECK_OK(ApplyDiff(diff, views_->PrivAddr(h.privbase), length));
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.diffs_applied++;
-  }
+  stats_[&LrcCounters::diffs_applied].Inc();
   MsgHeader ack = h;
   ack.set_type(MsgType::kDiffAck);
   ack.flags = 0;
@@ -507,8 +478,7 @@ void LrcNode::HandleFetchReply(const MsgHeader& h) {
         e.twin = std::make_unique<Twin>(views_->PrivAddr(mp.offset), mp.length);
         dirty_.push_back(mp.id);
         MP_CHECK_OK(views_->SetProtection(mp, Protection::kReadWrite));
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        counters_.twins_created++;
+        stats_[&LrcCounters::twins_created].Inc();
       } else {
         MP_CHECK_OK(views_->SetProtection(mp, Protection::kReadOnly));
       }

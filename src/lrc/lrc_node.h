@@ -46,8 +46,9 @@
 
 namespace millipage {
 
-// Statistics specific to the LRC protocol.
-struct LrcCounters {
+// Statistics specific to the LRC protocol: a read-out of the node's
+// registry (src/common/stats.h).
+struct LrcCounters : CounterArithmetic<LrcCounters> {
   uint64_t read_faults = 0;
   uint64_t write_faults = 0;
   uint64_t fetches = 0;          // master copies pulled from homes
@@ -61,6 +62,24 @@ struct LrcCounters {
   uint64_t messages_sent = 0;
   uint64_t barriers = 0;
   uint64_t lock_acquires = 0;
+
+  static const CounterField<LrcCounters> kFields[];
+};
+
+inline constexpr CounterField<LrcCounters> LrcCounters::kFields[] = {
+    {"lrc.read_faults", &LrcCounters::read_faults},
+    {"lrc.write_faults", &LrcCounters::write_faults},
+    {"lrc.fetches", &LrcCounters::fetches},
+    {"lrc.fetch_bytes", &LrcCounters::fetch_bytes},
+    {"lrc.local_upgrades", &LrcCounters::local_upgrades},
+    {"lrc.twins_created", &LrcCounters::twins_created},
+    {"lrc.diffs_flushed", &LrcCounters::diffs_flushed},
+    {"lrc.diff_bytes", &LrcCounters::diff_bytes},
+    {"lrc.diffs_applied", &LrcCounters::diffs_applied},
+    {"lrc.invalidation_sweeps", &LrcCounters::invalidation_sweeps},
+    {"lrc.messages_sent", &LrcCounters::messages_sent},
+    {"lrc.barriers", &LrcCounters::barriers},
+    {"lrc.lock_acquires", &LrcCounters::lock_acquires},
 };
 
 class LrcNode {
@@ -102,7 +121,7 @@ class LrcNode {
 
   // ---- Introspection --------------------------------------------------------
 
-  LrcCounters counters() const;
+  LrcCounters counters() const { return stats_.Read(); }
 
  private:
   LrcNode(const DsmConfig& config, HostId me, Transport* transport);
@@ -139,6 +158,10 @@ class LrcNode {
   const DsmConfig config_;
   const HostId me_;
   Transport* const transport_;
+  // The only store of this host's counters (lrc.* and the shard's mgr.*),
+  // declared before the directory that keeps pointers into it.
+  MetricsRegistry metrics_;
+  CounterBlock<LrcCounters> stats_{metrics_};
   std::unique_ptr<ViewSet> views_;
   WaitSlots slots_;
 
@@ -163,9 +186,6 @@ class LrcNode {
   std::vector<MinipageId> dirty_;
   // Diff-flush acknowledgement tracking.
   std::atomic<uint32_t> flush_acks_pending_{0};
-
-  mutable std::mutex stats_mu_;
-  LrcCounters counters_;
 
   // Payload staging for incoming diffs (applied after header dispatch).
   std::vector<std::byte> diff_buffer_;

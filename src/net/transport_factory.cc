@@ -28,14 +28,12 @@ TransportBackend TransportBackendFromEnv() {
 }
 
 MeshTransport MakeMeshTransport(TransportBackend requested, HostId me,
-                                std::vector<int> fds_by_peer, bool sqpoll) {
+                                std::vector<int> fds_by_peer) {
   MeshTransport out;
   if (requested == TransportBackend::kUring) {
     if (UringTransportSupported()) {
-      UringOptions opts;
-      opts.sqpoll = sqpoll;
       Result<std::unique_ptr<UringTransport>> t =
-          UringTransport::Create(me, std::move(fds_by_peer), opts);
+          UringTransport::Create(me, std::move(fds_by_peer));
       if (t.ok()) {
         out.transport = std::move(*t);
         out.active = TransportBackend::kUring;

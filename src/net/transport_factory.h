@@ -38,9 +38,8 @@ struct MeshTransport {
 // fallback: a uring request on an unsupported kernel logs once and returns a
 // SocketTransport (the DSM must come up either way — same contract as the
 // userfaultfd-to-SIGSEGV fallback). Takes ownership of the fds.
-// `sqpoll` only affects the uring backend (kernel-side submission polling).
 MeshTransport MakeMeshTransport(TransportBackend requested, HostId me,
-                                std::vector<int> fds_by_peer, bool sqpoll = false);
+                                std::vector<int> fds_by_peer);
 
 }  // namespace millipage
 

@@ -68,7 +68,7 @@ unsigned NextPow2(unsigned v) {
 // Ring
 // ---------------------------------------------------------------------------
 
-Status UringTransport::Ring::Init(unsigned entries, unsigned cq_size, bool want_sqpoll) {
+Status UringTransport::Ring::Init(unsigned entries, unsigned cq_size) {
   struct io_uring_params p;
   std::memset(&p, 0, sizeof(p));
   p.flags = IORING_SETUP_CLAMP;
@@ -76,16 +76,11 @@ Status UringTransport::Ring::Init(unsigned entries, unsigned cq_size, bool want_
     p.flags |= IORING_SETUP_CQSIZE;
     p.cq_entries = cq_size;
   }
-  if (want_sqpoll) {
-    p.flags |= IORING_SETUP_SQPOLL;
-    p.sq_thread_idle = 50;  // ms before the poller kthread parks
-  }
   fd = SysUringSetup(entries, &p);
   if (fd < 0) {
     return Status::Errno("io_uring_setup");
   }
   features = p.features;
-  sqpoll = want_sqpoll;
   if ((features & IORING_FEAT_SINGLE_MMAP) == 0) {
     // Pre-5.4 split-mmap layout; such kernels lack everything else we need
     // anyway, so don't bother supporting it.
@@ -114,7 +109,6 @@ Status UringTransport::Ring::Init(unsigned entries, unsigned cq_size, bool want_
   auto* base = static_cast<char*>(ring_mem);
   sq_head = reinterpret_cast<unsigned*>(base + p.sq_off.head);
   sq_tail = reinterpret_cast<unsigned*>(base + p.sq_off.tail);
-  sq_flags = reinterpret_cast<unsigned*>(base + p.sq_off.flags);
   sq_array = reinterpret_cast<unsigned*>(base + p.sq_off.array);
   sq_mask = *reinterpret_cast<unsigned*>(base + p.sq_off.ring_mask);
   sq_entries = p.sq_entries;
@@ -171,16 +165,6 @@ Status UringTransport::Ring::Submit(Counter* syscalls, Counter* submits, Histogr
   }
   if (batch != nullptr) {
     batch->Record(to_submit);
-  }
-  if (sqpoll) {
-    // The kernel thread consumes the ring on its own; enter only to wake it.
-    if ((__atomic_load_n(sq_flags, __ATOMIC_ACQUIRE) & IORING_SQ_NEED_WAKEUP) != 0) {
-      if (syscalls != nullptr) {
-        syscalls->Inc();
-      }
-      (void)SysUringEnter(fd, to_submit, 0, IORING_ENTER_SQ_WAKEUP, nullptr, 0);
-    }
-    return Status::Ok();
   }
   for (;;) {
     if (syscalls != nullptr) {
@@ -322,7 +306,7 @@ bool UringTransport::ProbeSupport() {
   // inferred from the opcode horizon reaching IORING_OP_SEND_ZC), and
   // EXT_ARG timed waits. Probe with a scratch ring so no fds are risked.
   Ring ring;
-  if (!ring.Init(4, 8, /*want_sqpoll=*/false).ok()) {
+  if (!ring.Init(4, 8).ok()) {
     return false;
   }
   bool ok = (ring.features & IORING_FEAT_EXT_ARG) != 0 &&
@@ -398,18 +382,11 @@ UringTransport::UringTransport(HostId me, std::vector<int> fds_by_peer)
   recv_cqes_ = reg.GetCounter("net.uring.recv_cqes");
 }
 
-Status UringTransport::InitRings(const UringOptions& opts) {
-  Status st = send_ring_.Init(kSendSqEntries, kSendCqEntries, opts.sqpoll);
-  if (!st.ok() && opts.sqpoll) {
-    // SQPOLL needs privileges on older kernels; degrade to plain submission.
-    st = send_ring_.Init(kSendSqEntries, kSendCqEntries, /*want_sqpoll=*/false);
-  }
-  MP_RETURN_IF_ERROR(st);
-  sqpoll_active_ = send_ring_.sqpoll;
+Status UringTransport::InitRings() {
+  MP_RETURN_IF_ERROR(send_ring_.Init(kSendSqEntries, kSendCqEntries));
   const unsigned n = static_cast<unsigned>(fds_.size());
   const unsigned recv_sq = std::clamp(NextPow2(n + 2), 64U, 4096U);
-  MP_RETURN_IF_ERROR(recv_ring_.Init(recv_sq, std::max(2 * kRecvBufCount + recv_sq, 512U),
-                                     /*want_sqpoll=*/false));
+  MP_RETURN_IF_ERROR(recv_ring_.Init(recv_sq, std::max(2 * kRecvBufCount + recv_sq, 512U)));
   if ((recv_ring_.features & IORING_FEAT_EXT_ARG) == 0 ||
       (recv_ring_.features & IORING_FEAT_NODROP) == 0) {
     return Status::Unavailable("io_uring: kernel lacks EXT_ARG/NODROP");
@@ -422,8 +399,7 @@ Status UringTransport::InitRings(const UringOptions& opts) {
 }
 
 Result<std::unique_ptr<UringTransport>> UringTransport::Create(HostId me,
-                                                               std::vector<int> fds_by_peer,
-                                                               const UringOptions& opts) {
+                                                               std::vector<int> fds_by_peer) {
   if (!UringTransportSupported()) {
     for (int fd : fds_by_peer) {
       if (fd >= 0) {
@@ -434,7 +410,7 @@ Result<std::unique_ptr<UringTransport>> UringTransport::Create(HostId me,
         "io_uring transport unsupported: kernel lacks multishot RECVMSG or buffer rings");
   }
   std::unique_ptr<UringTransport> t(new UringTransport(me, std::move(fds_by_peer)));
-  MP_RETURN_IF_ERROR(t->InitRings(opts));
+  MP_RETURN_IF_ERROR(t->InitRings());
   return t;
 }
 

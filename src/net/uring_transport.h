@@ -9,8 +9,7 @@
 //     io_uring_enter(GETEVENTS) when the poller has to block.
 //   * Send — SQEs are prepped under the send lock and released with a single
 //     io_uring_enter. Inside a BeginBurst/EndBurst window (the coalescer's
-//     flush path) the enter is deferred so N frames submit as one syscall —
-//     or zero with SQPOLL (off by default, see UringOptions).
+//     flush path) the enter is deferred so N frames submit as one syscall.
 //
 // FIFO per (sender, receiver) is preserved by construction: each message is
 // one SQE (header) or two IOSQE_IO_LINK-chained SQEs (header then payload),
@@ -44,21 +43,13 @@
 
 namespace millipage {
 
-struct UringOptions {
-  // Kernel-side SQ polling on the send ring: submissions become visible to a
-  // kernel thread without io_uring_enter at all. Needs privileges on some
-  // kernels and burns a core, so it is opt-in (MILLIPAGE_URING_SQPOLL=1).
-  bool sqpoll = false;
-};
-
 class UringTransport : public Transport {
  public:
   // `fds_by_peer[j]` is the SEQPACKET socket to host j (-1 at index `me`);
   // takes ownership of the fds (also on probe failure). Fails with
   // kUnavailable when the kernel lacks multishot RECVMSG or buffer rings.
   static Result<std::unique_ptr<UringTransport>> Create(HostId me,
-                                                        std::vector<int> fds_by_peer,
-                                                        const UringOptions& opts = {});
+                                                        std::vector<int> fds_by_peer);
   ~UringTransport() override;
 
   Status Send(HostId to, MsgHeader h, const void* payload, size_t len) override;
@@ -68,8 +59,6 @@ class UringTransport : public Transport {
 
   void BeginBurst() override;
   void EndBurst() override;
-
-  bool sqpoll_active() const { return sqpoll_active_; }
 
   // One datagram must fit one ring buffer; larger sends are rejected rather
   // than silently truncated on the receive side. Far above the protocol's
@@ -86,11 +75,9 @@ class UringTransport : public Transport {
   struct Ring {
     int fd = -1;
     uint32_t features = 0;
-    bool sqpoll = false;
     // SQ (mmap'd).
     unsigned* sq_head = nullptr;
     unsigned* sq_tail = nullptr;
-    unsigned* sq_flags = nullptr;
     unsigned* sq_array = nullptr;
     unsigned sq_mask = 0;
     unsigned sq_entries = 0;
@@ -108,12 +95,11 @@ class UringTransport : public Transport {
     void* sqe_mem = nullptr;
     size_t sqe_mem_len = 0;
 
-    Status Init(unsigned entries, unsigned cq_size, bool want_sqpoll);
+    Status Init(unsigned entries, unsigned cq_size);
     void Close();
     // Next free SQE, or nullptr when the SQ is full (submit first).
     struct io_uring_sqe* GetSqe();
-    // Publishes prepped SQEs and enters the kernel. With SQPOLL the enter is
-    // skipped unless the poller thread needs a wakeup.
+    // Publishes prepped SQEs and enters the kernel.
     Status Submit(Counter* syscalls, Counter* submits, Histogram* batch);
     // Blocks for ≥1 completion (GETEVENTS), with an EXT_ARG timeout when
     // timeout_ns > 0. Returns false on timeout, true when CQEs may be ready.
@@ -171,7 +157,7 @@ class UringTransport : public Transport {
   };
 
   UringTransport(HostId me, std::vector<int> fds_by_peer);
-  Status InitRings(const UringOptions& opts);
+  Status InitRings();
 
   // --- send side (any thread, under send_mu_) ---
   Status EnqueueSend(uint16_t to, const MsgHeader& h, const void* payload, size_t len);
@@ -194,7 +180,6 @@ class UringTransport : public Transport {
   HostId me_;
   std::vector<int> fds_;   // fds_[me_] is the send end of the self-loop
   int self_recv_fd_ = -1;  // receive end of the self-loop
-  bool sqpoll_active_ = false;
 
   // Send ring + all send state, shared by app and server threads.
   std::mutex send_mu_;

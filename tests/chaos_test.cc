@@ -386,7 +386,7 @@ TEST(Chaos, DuplicateInvalidateReplyIsAbsorbedByManager) {
   // The duplicate arrives on the manager's next poll; wait until it has been
   // counted (absorbed) rather than fatally checked.
   const uint64_t t0 = MonotonicNowNs();
-  while (n0.counters().dup_invalidate_replies.value() == 0) {
+  while (n0.counters().dup_invalidate_replies == 0) {
     ASSERT_LT((MonotonicNowNs() - t0) / 1000000, kDetectBudgetMs)
         << "duplicate reply never reached the idempotence path";
     ::usleep(1000);

@@ -11,6 +11,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/failpoint.h"
 #include "src/common/time_util.h"
@@ -103,8 +104,7 @@ TEST(Protocol, CompetingRequestsAreCountedAndServed) {
     EXPECT_EQ(*p, 1234);
     node.Barrier();
   });
-  const ManagerCounters mc = (*cluster)->TotalManagerCounters();
-  EXPECT_GE(mc.requests_served, 5u);
+  EXPECT_GE((*cluster)->SnapshotMetrics().counters.at("mgr.requests_served"), 5u);
   // At least some of the simultaneous faults must have queued. Under the
   // userfaultfd backend the in-process cluster funnels every host's faults
   // through one poller thread, so requests are serialized before they reach
@@ -593,6 +593,39 @@ TEST(Protocol, MetricsMoveAsProtocolRuns) {
   EXPECT_NE(json.find("\"dsm.read_fault_ns\""), std::string::npos);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
+}
+
+TEST(Protocol, DisabledMetricsStillCountFaultsAndEpochs) {
+  // The metrics switch gates histograms and timers only: with it off, the
+  // protocol counts the cost model and the epochs price still advance, and
+  // the fault-latency histograms record nothing.
+  SetMetricsEnabled(false);
+  auto cluster = DsmCluster::Create(Cfg(2));
+  ASSERT_TRUE(cluster.ok());
+  GlobalPtr<int> p;
+  (*cluster)->RunOnManager([&](DsmNode&) {
+    p = SharedAlloc<int>(1);
+    *p = 1;
+  });
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    if (host == 1) {
+      EXPECT_EQ(*p, 1);  // read fault
+      *p = 2;            // write fault
+    }
+    node.Barrier();
+  });
+  SetMetricsEnabled(true);
+  DsmNode& n1 = (*cluster)->node(1);
+  const HostCounters c1 = n1.counters();
+  EXPECT_GE(c1.read_faults, 1u);
+  EXPECT_GE(c1.write_faults, 1u);
+  const std::vector<EpochRecord> epochs = n1.epochs();
+  ASSERT_EQ(epochs.size(), 1u);
+  EXPECT_EQ(epochs[0].delta.read_faults, c1.read_faults);
+  EXPECT_EQ(epochs[0].delta.write_faults, c1.write_faults);
+  EXPECT_EQ(epochs[0].delta.barriers, 1u);
+  EXPECT_EQ(n1.read_fault_latency().count, 0u);
+  EXPECT_EQ(n1.write_fault_latency().count, 0u);
 }
 
 TEST(Protocol, IsolatedWriteFaultCostsAFewMessageLatencies) {

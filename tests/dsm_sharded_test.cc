@@ -9,7 +9,9 @@
 
 #include <unistd.h>
 
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -97,16 +99,100 @@ TEST(Sharded, RequestsSpreadAcrossShards) {
   for (uint16_t h = 0; h < kHosts; ++h) {
     Directory* dir = (*cluster)->node(h).directory();
     ASSERT_NE(dir, nullptr) << "sharded node " << h << " has no directory shard";
-    const ManagerCounters& mc = dir->counters();
-    EXPECT_GT(mc.requests_served, 0u) << "shard " << h << " serviced nothing";
-    total_served += mc.requests_served;
+    const uint64_t served = dir->requests_served().value();
+    EXPECT_GT(served, 0u) << "shard " << h << " serviced nothing";
+    total_served += served;
     if (h != kManagerHost) {
-      EXPECT_EQ(mc.remote_routed, 0u) << "only the MPT host routes";
+      EXPECT_EQ(dir->remote_routed().value(), 0u) << "only the MPT host routes";
     }
   }
-  EXPECT_GT((*cluster)->node(kManagerHost).directory()->counters().remote_routed, 0u)
+  EXPECT_GT((*cluster)->node(kManagerHost).directory()->remote_routed().value(), 0u)
       << "host 0 never handed a translated request to another shard";
-  EXPECT_EQ((*cluster)->TotalManagerCounters().requests_served, total_served);
+  EXPECT_EQ((*cluster)->SnapshotMetrics().counters.at("mgr.requests_served"), total_served);
+}
+
+// The merged snapshot is the one place counters are read by name: every
+// name the benchmark harness reads is there, each equal to the typed
+// read-out it mirrors, and the coalescer pair is not exported as host.*
+// (the harness adds those two from HostCounters itself).
+TEST(Sharded, SnapshotCounterNamesMatchTypedReadOuts) {
+  constexpr uint16_t kHosts = 4;
+  auto cluster = DsmCluster::Create(ShardedCfg(kHosts));
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  std::vector<GlobalPtr<int>> arrays(kHosts);
+  (*cluster)->RunOnManager([&](DsmNode&) {
+    for (auto& a : arrays) {
+      a = SharedAlloc<int>(16);
+      a[0] = 0;
+    }
+  });
+  GlobalPtr<int> total;
+  (*cluster)->RunOnManager([&](DsmNode&) {
+    total = SharedAlloc<int>(1);
+    *total = 0;
+  });
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    node.Barrier();
+    int sum = 0;
+    for (const auto& a : arrays) {
+      sum += a[0];  // read faults on every array
+    }
+    EXPECT_EQ(sum, 0);
+    node.Barrier();
+    arrays[host][0] = static_cast<int>(host) + 1;  // write faults, invalidation rounds
+    node.Lock(7);
+    *total = *total + 1;
+    node.Unlock(7);
+    node.Barrier();
+  });
+  for (uint16_t h = 0; h < kHosts; ++h) {
+    (*cluster)->node(h).Stop();  // quiesce: no counter moves past this point
+  }
+
+  uint64_t fault_retries = 0, timeout_retries = 0, stale_replies = 0, bounced = 0;
+  uint64_t invalidation_rounds = 0, mpt_lookups = 0, remote_routed = 0;
+  for (uint16_t h = 0; h < kHosts; ++h) {
+    DsmNode& node = (*cluster)->node(h);
+    fault_retries += node.fault_retries();
+    timeout_retries += node.timeout_retries();
+    stale_replies += node.stale_replies();
+    bounced += node.bounced_requests();
+    const Directory* dir = node.directory();
+    ASSERT_NE(dir, nullptr);
+    invalidation_rounds += dir->invalidation_rounds().value();
+    mpt_lookups += dir->mpt_lookups().value();
+    remote_routed += dir->remote_routed().value();
+  }
+  const HostCounters c = (*cluster)->TotalCounters();
+  const std::map<std::string, uint64_t> want = {
+      {"host.read_faults", c.read_faults},
+      {"host.write_faults", c.write_faults},
+      {"host.competing_requests", c.competing_requests},
+      {"host.batch_frames_sent", c.batch_frames_sent},
+      {"host.batch_records_sent", c.batch_records_sent},
+      {"dsm.fault_retries", fault_retries},
+      {"dsm.timeout_retries", timeout_retries},
+      {"dsm.stale_replies", stale_replies},
+      {"dsm.bounced_requests", bounced},
+      {"mgr.invalidation_rounds", invalidation_rounds},
+      {"mgr.mpt_lookups", mpt_lookups},
+      {"mgr.remote_routed", remote_routed},
+  };
+  const MetricsSnapshot s = (*cluster)->SnapshotMetrics();
+  for (const auto& [name, value] : want) {
+    auto it = s.counters.find(name);
+    ASSERT_NE(it, s.counters.end()) << name << " missing from the snapshot";
+    EXPECT_EQ(it->second, value) << name;
+  }
+  EXPECT_GT(c.read_faults, 0u);
+  EXPECT_GT(c.write_faults, 0u);
+  EXPECT_GT(invalidation_rounds, 0u);
+  EXPECT_GT(remote_routed, 0u);
+  for (const auto& [name, value] : s.counters) {
+    EXPECT_NE(name.rfind("host.coalesced_", 0), 0u) << name << " would be counted twice";
+  }
+  EXPECT_EQ(s.counters.at("dsm.coalesced_msgs_sent"), c.coalesced_msgs_sent);
+  EXPECT_EQ(s.counters.at("dsm.coalesced_records"), c.coalesced_records);
 }
 
 // A lock-protected counter per lock id, with ids hashing to every shard:
@@ -172,7 +258,7 @@ TEST(Sharded, OwningShardServesItsOwnReplica) {
   });
   Directory* shard1 = (*cluster)->node(1).directory();
   ASSERT_NE(shard1, nullptr);
-  EXPECT_GT(shard1->counters().requests_served, 0u);
+  EXPECT_GT(shard1->requests_served().value(), 0u);
 }
 
 // LRC variant: sharded lock/barrier service under the relaxed protocol.
