@@ -1,13 +1,17 @@
 // Google-benchmark micro-suite over the substrate primitives: protection
 // control, MPT translation scaling, allocator throughput, diff costs by
 // size and dirtiness, address packing, the metrics layer's own overhead
-// (enabled vs disabled — the acceptance budget is <2% on fast paths), and the
-// wait-slot reply handoff, parked vs polling.
+// (enabled vs disabled — the acceptance budget is <2% on fast paths), the
+// protection tax of yielding sibling threads, and the wait-slot reply
+// handoff, parked vs polling.
 // Complements the paper-table benches with statistically robust per-op
 // numbers.
 
 #include <benchmark/benchmark.h>
 
+#include <sched.h>
+
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -42,6 +46,40 @@ void BM_SetProtection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SetProtection)->Arg(128)->Arg(4096)->Arg(16384);
+
+// The in-process protection tax: one 4 KB vpage toggled RW -> RO -> RW per
+// iteration while `arg` sibling threads loop on sched_yield(), the shape of a
+// cluster's pollers. Every host of an in-process cluster shares one mm, so
+// each downgrade's TLB shootdown reaches every vCPU a sibling runs on.
+void BM_SetProtectionSiblings(benchmark::State& state) {
+  auto vs = ViewSet::Create(64 * PageSize(), 8);
+  MP_CHECK(vs.ok());
+  Minipage mp;
+  mp.view = 1;
+  mp.offset = 3 * PageSize();
+  mp.length = PageSize();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> siblings;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    siblings.emplace_back([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        sched_yield();
+      }
+    });
+  }
+  MP_CHECK_OK((*vs)->SetProtection(mp, Protection::kReadWrite));
+  volatile std::byte* page = (*vs)->AppAddr(mp.view, mp.offset);
+  for (auto _ : state) {
+    *page = std::byte{1};  // a live pte, as on a DSM page in use
+    MP_CHECK_OK((*vs)->SetProtection(mp, Protection::kReadOnly));
+    MP_CHECK_OK((*vs)->SetProtection(mp, Protection::kReadWrite));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : siblings) {
+    t.join();
+  }
+}
+BENCHMARK(BM_SetProtectionSiblings)->Arg(0)->Arg(3)->UseRealTime();
 
 void BM_GetProtection(benchmark::State& state) {
   auto vs = ViewSet::Create(64 * PageSize(), 8);

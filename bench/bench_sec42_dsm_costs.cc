@@ -1,8 +1,9 @@
 // Section 4.2 reproduction: end-to-end DSM operation costs measured on the
 // live protocol — read/write fault service for 128 B and 4 KB minipages,
 // write faults vs number of read copies to invalidate, barrier cost vs host
-// count, lock+unlock, and the run-length diff cost the thin-layer design
-// avoids (250 us per 4 KB page on the paper's hardware, linear in size).
+// count, lock+unlock, shared allocation, and the run-length diff cost the
+// thin-layer design avoids (250 us per 4 KB page on the paper's hardware,
+// linear in size).
 
 #include <cstdio>
 #include <cstring>
@@ -140,6 +141,51 @@ void MeasureLocks(BenchReporter& reporter, int iters) {
                  static_cast<uint64_t>(iters));
 }
 
+// Shared allocation on a started 4-host cluster: the mean of 256 back-to-back
+// 672-byte SharedMalloc calls (a WATER molecule) on host 0, which allocates
+// inline, and on another host, which asks host 0 and polls for the reply;
+// then the mean first call on host 0 of `fresh` fresh clusters.
+void MeasureSharedMalloc(BenchReporter& reporter, int fresh) {
+  constexpr int kCalls = 256;
+  constexpr uint64_t kBytes = 672;
+  const auto malloc_us = [](DsmNode& node, int calls) {
+    const uint64_t t0 = MonotonicNowNs();
+    for (int i = 0; i < calls; ++i) {
+      MP_CHECK(node.SharedMalloc(kBytes).ok());
+    }
+    return static_cast<double>(MonotonicNowNs() - t0) / 1000.0 / calls;
+  };
+  auto cluster = DsmCluster::Create(Cfg(4));
+  MP_CHECK(cluster.ok());
+  double host0_us = 0;
+  double other_us = 0;
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    if (host == 0) {
+      host0_us = malloc_us(node, kCalls);
+    }
+    node.Barrier();
+    if (host == 1) {
+      other_us = malloc_us(node, kCalls);
+    }
+  });
+  double first_us = 0;
+  for (int i = 0; i < fresh; ++i) {
+    auto fresh_cluster = DsmCluster::Create(Cfg(4));
+    MP_CHECK(fresh_cluster.ok());
+    (*fresh_cluster)->RunOnManager([&](DsmNode& node) { first_us += malloc_us(node, 1); });
+  }
+  first_us /= fresh;
+  const std::string params = "hosts=4 bytes=" + std::to_string(kBytes);
+  PrintRow("shared malloc, allocator host", host0_us, "n/a (manager-served malloc)");
+  reporter.AddUs("shared malloc, allocator host", params, host0_us, kCalls);
+  PrintRow("shared malloc, other host", other_us, "n/a (manager-served malloc)");
+  reporter.AddUs("shared malloc, other host", params, other_us, kCalls);
+  PrintRow("shared malloc, first call on a fresh cluster", first_us,
+           "n/a (manager-served malloc)");
+  reporter.AddUs("shared malloc, first call on a fresh cluster", params, first_us,
+                 static_cast<uint64_t>(fresh));
+}
+
 void MeasureDiffs(BenchReporter& reporter, int iters) {
   for (size_t bytes : {1024UL, 4096UL, 16384UL}) {
     std::vector<char> page(bytes);
@@ -180,6 +226,7 @@ int main(int argc, char** argv) {
       env.smoke() ? std::vector<uint16_t>{1, 2, 4} : std::vector<uint16_t>{1, 2, 4, 8};
   MeasureBarriers(reporter, env.Scaled(400, 30), barrier_hosts);
   MeasureLocks(reporter, env.Scaled(500, 50));
+  MeasureSharedMalloc(reporter, env.Scaled(20, 5));
   MeasureDiffs(reporter, env.Scaled(2000, 100));
   PrintNote("paper values include Myrinet latency + the NT timer/polling delay; shapes to");
   PrintNote("check: 4 KB faults cost more than 128 B; write cost grows with copyset size;");

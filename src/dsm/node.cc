@@ -182,40 +182,51 @@ Result<GlobalAddr> DsmNode::SharedMalloc(uint64_t size) {
   if (size == 0 || size > ~0u) {
     return Status::Invalid("SharedMalloc: size must be in (0, 4GiB)");
   }
-  const uint32_t slot = ThreadSlot();
-  const uint32_t gen = NextGen(slot);
   MsgHeader h;
   h.set_type(MsgType::kAllocRequest);
   h.from = me_;
-  h.seq = WaitSlots::MakeSeq(slot, gen);
   h.pgsize = static_cast<uint32_t>(size);
-  if (Status st = TrySendMsg(kManagerHost, h); !st.ok()) {
-    return LivenessFailure("SharedMalloc", st);
+  MsgHeader reply;
+  if (AllocatesInline()) {
+    reply = MgrAllocate(h);
+  } else {
+    const uint32_t slot = ThreadSlot();
+    const uint32_t gen = NextGen(slot);
+    h.seq = WaitSlots::MakeSeq(slot, gen);
+    if (Status st = TrySendMsg(kManagerHost, h); !st.ok()) {
+      return LivenessFailure("SharedMalloc", st);
+    }
+    // Allocation mutates manager state per request, so it is not idempotent:
+    // bounded by the sync deadline, never re-sent. A membership kick
+    // (kFailedPrecondition) is the one interruption that does not invalidate
+    // the attempt: the allocator is host 0, whose death is fatal, so after a
+    // third host's death the original request/reply pair is still in flight
+    // on an intact path — keep waiting on the same generation instead of
+    // re-sending (which would allocate twice).
+    Result<MsgHeader> r =
+        AwaitReply(slot, gen, config_.sync_timeout_ms, "SharedMalloc", /*poll=*/true);
+    while (!r.ok() && r.status().code() == StatusCode::kFailedPrecondition) {
+      r = AwaitReply(slot, gen, config_.sync_timeout_ms, "SharedMalloc", /*poll=*/true);
+    }
+    if (!r.ok()) {
+      return LivenessFailure("SharedMalloc", r.status());
+    }
+    reply = *r;
   }
-  // Allocation mutates manager state per request, so it is not idempotent:
-  // bounded by the sync deadline, never re-sent. A membership kick
-  // (kFailedPrecondition) is the one interruption that does not invalidate
-  // the attempt: the allocator is host 0, whose death is fatal, so after a
-  // third host's death the original request/reply pair is still in flight on
-  // an intact path — keep waiting on the same generation instead of
-  // re-sending (which would allocate twice).
-  Result<MsgHeader> reply = AwaitReply(slot, gen, config_.sync_timeout_ms, "SharedMalloc");
-  while (!reply.ok() && reply.status().code() == StatusCode::kFailedPrecondition) {
-    reply = AwaitReply(slot, gen, config_.sync_timeout_ms, "SharedMalloc");
-  }
-  if (!reply.ok()) {
-    return LivenessFailure("SharedMalloc", reply.status());
-  }
-  if (reply->msg_type() != MsgType::kAllocReply) {
+  if (reply.msg_type() != MsgType::kAllocReply) {
     return Status::Internal("SharedMalloc: unexpected reply");
   }
-  if ((reply->flags & kFlagAbort) != 0) {
+  if ((reply.flags & kFlagAbort) != 0) {
     return Status::Exhausted("SharedMalloc: shared memory exhausted");
   }
-  return reply->global_addr();
+  return reply.global_addr();
 }
 
 void DsmNode::CloseChunk() {
+  if (AllocatesInline()) {
+    MgrCloseChunk();
+    return;
+  }
   MsgHeader h;
   h.set_type(MsgType::kAllocRequest);
   h.from = me_;
@@ -847,15 +858,15 @@ void DsmNode::DispatchOne(const MsgHeader& h) {
       break;
     case MsgType::kBarrierEnter:
       MP_CHECK(OwnsShard(kBarrierShardId)) << "barrier entry at non-barrier shard";
-      if (allocator_ != nullptr) {
-        allocator_->CloseChunk();
+      if (is_manager()) {
+        MgrCloseChunk();
       }
       MgrHandleBarrierEnter(h);
       break;
     case MsgType::kLockAcquire:
       MP_CHECK(OwnsShard(h.minipage)) << "lock acquire at non-owning shard";
-      if (allocator_ != nullptr) {
-        allocator_->CloseChunk();
+      if (is_manager()) {
+        MgrCloseChunk();
       }
       MgrHandleLockAcquire(h);
       break;
@@ -1019,12 +1030,15 @@ bool DsmNode::MgrTranslate(MsgHeader* h) {
 
 void DsmNode::MgrTranslateAndRoute(const MsgHeader& h) {
   MP_CHECK(is_manager()) << "untranslated request received by non-MPT host";
-  // Any protocol traffic means sharing has begun: stop aggregating
-  // allocations so open chunks can no longer grow (see MgrHandleAlloc).
-  allocator_->CloseChunk();
   MsgHeader copy = h;
-  if (!MgrTranslate(&copy)) {
-    return;
+  {
+    // Any protocol traffic means sharing has begun: stop aggregating
+    // allocations so open chunks can no longer grow (see MgrAllocate).
+    std::lock_guard<std::mutex> lock(alloc_mu_);
+    allocator_->CloseChunk();
+    if (!MgrTranslate(&copy)) {
+      return;
+    }
   }
   const HostId owner = LiveManagerOf(copy.minipage);
   if (owner == me_) {
@@ -1079,8 +1093,8 @@ void DsmNode::MgrStartService(MsgHeader h) {
     // holder is always host 0: allocation opened the minipage ReadWrite
     // there, and every first-touch request passes host 0's translation
     // before arriving here (closing the growth chunk), so "never serviced"
-    // ⇒ "still manager-held". Centralized shards never hit either path
-    // (MgrHandleAlloc seeds the entry, and they never rehash).
+    // ⇒ "still manager-held". Both policies bootstrap here; only sharded
+    // shards can adopt (centralized ones never rehash).
     const HostId home = config_.ManagerOf(h.minipage);
     if (home != me_ && dead_set().Contains(home)) {
       e.pending.push_back(h);
@@ -1365,43 +1379,26 @@ void DsmNode::MgrFinishService(MinipageId id) {
   MgrProcess(next);
 }
 
-void DsmNode::MgrHandleAlloc(const MsgHeader& h) {
-  if (h.pgsize == 0) {
-    allocator_->CloseChunk();
-    return;
-  }
-  Result<Allocation> alloc = allocator_->Allocate(h.pgsize);
+MsgHeader DsmNode::MgrAllocate(const MsgHeader& h) {
   MsgHeader reply = h;
   reply.set_type(MsgType::kAllocReply);
+  std::lock_guard<std::mutex> lock(alloc_mu_);
+  Result<Allocation> alloc = allocator_->Allocate(h.pgsize);
   if (!alloc.ok()) {
     MP_LOG(Error) << "SharedMalloc failed: " << alloc.status().ToString();
     reply.flags = kFlagAbort;
-    SendMsg(h.from, reply);
-    return;
+    return reply;
   }
+  // Open ReadWrite over every allocated id no request has been translated
+  // for: such an id is still manager-held, including the new vpages of a
+  // growing chunk. A translated id is shared, and its shard (which bootstraps
+  // its directory entry lazily in MgrStartService) owns its protection. The
+  // grant stays under alloc_mu_: a translation that closes a growing chunk
+  // must not run between the chunk's extension and its grant.
   std::vector<Minipage> grants;
   grants.reserve(alloc->minipages.size());
   for (MinipageId id : alloc->minipages) {
-    if (!OwnsShard(id)) {
-      // Sharded: the id's directory entry lives on another host and
-      // bootstraps lazily when that shard first services it. Locally we only
-      // keep the growing chunk's pages writable — unless the id has already
-      // been translated into sharing, in which case re-opening ReadWrite
-      // would undo a downgrade the owning shard ordered.
-      const bool routed = id < mp_routed_.size() && mp_routed_[id];
-      if (!routed) {
-        grants.push_back(mpt_->Get(id));
-      }
-      continue;
-    }
-    DirEntry& e = directory_->Entry(id);
-    if (e.copyset.Empty()) {
-      e.copyset = HostSet::Single(kManagerHost);
-      e.writable = true;
-    }
-    // Cover newly added vpages of a growing chunk; safe because chunks close
-    // on any non-alloc traffic, so a growing minipage is still manager-held.
-    if (e.CopyCount() == 1 && e.HasCopy(kManagerHost) && e.writable) {
+    if (id >= mp_routed_.size() || !mp_routed_[id]) {
       grants.push_back(mpt_->Get(id));
     }
   }
@@ -1413,7 +1410,20 @@ void DsmNode::MgrHandleAlloc(const MsgHeader& h) {
   reply.addr = GlobalAddr{alloc->view, alloc->offset}.Pack();
   reply.pgsize = static_cast<uint32_t>(alloc->size);
   reply.privbase = alloc->offset;
-  SendMsg(h.from, reply);
+  return reply;
+}
+
+void DsmNode::MgrCloseChunk() {
+  std::lock_guard<std::mutex> lock(alloc_mu_);
+  allocator_->CloseChunk();
+}
+
+void DsmNode::MgrHandleAlloc(const MsgHeader& h) {
+  if (h.pgsize == 0) {
+    MgrCloseChunk();
+    return;
+  }
+  SendMsg(h.from, MgrAllocate(h));
 }
 
 void DsmNode::MgrHandleBarrierEnter(const MsgHeader& h) {

@@ -90,12 +90,15 @@ class DsmNode {
 
   // ---- Application API -------------------------------------------------
 
-  // Allocates `size` bytes of shared memory (manager-coordinated). The
-  // returned canonical address is valid on every host.
+  // Allocates `size` bytes of shared memory at the MPT host (host 0). The
+  // returned canonical address is valid on every host. A started host 0
+  // allocates on the calling thread and sends no message; every other host
+  // (and a simulator-pumped host 0) sends a request and waits for the reply,
+  // polling first when the node runs a server loop.
   Result<GlobalAddr> SharedMalloc(uint64_t size);
 
   // Ends the open aggregation chunk (Section 4.4) so the next allocation
-  // starts a new minipage.
+  // starts a new minipage. Inline on a started host 0, like SharedMalloc.
   void CloseChunk();
 
   // Local pointer for a canonical address on this host.
@@ -245,7 +248,8 @@ class DsmNode {
   MetricsSnapshot SnapshotMetrics() const { return metrics_.Snapshot(); }
 
   // This host's manager shard (null on non-manager hosts when centralized);
-  // mpt/allocator are null everywhere but host 0.
+  // mpt/allocator are null everywhere but host 0, and are read unlocked, so
+  // only while nothing allocates or translates (e.g. after a run).
   Directory* directory() { return directory_.get(); }
   const MinipageTable* mpt() const { return mpt_.get(); }
   const MinipageAllocator* allocator() const { return allocator_.get(); }
@@ -293,6 +297,22 @@ class DsmNode {
   // write once every outstanding invalidation has been accounted for.
   void MgrFinishWriteRound(MinipageId id);
   void MgrHandleAck(const MsgHeader& h);
+  // Allocation at the MPT host. MgrAllocate allocates h.pgsize (> 0) bytes,
+  // opens ReadWrite over every allocated minipage no request has been
+  // translated for yet, and returns the kAllocReply for h — all under
+  // alloc_mu_, so a translation never sees a grown chunk before its grant.
+  // It runs on the server thread (MgrHandleAlloc, for requests) and on a
+  // started host 0's own threads (SharedMalloc). MgrCloseChunk ends the open
+  // chunk under the same mutex.
+  MsgHeader MgrAllocate(const MsgHeader& h);
+  void MgrCloseChunk();
+  // True on a started host 0: SharedMalloc and CloseChunk run the allocator
+  // on the calling thread instead of a round trip through the server thread.
+  // A simulator-pumped host 0 keeps the message, so same-seed histories do
+  // not depend on this path.
+  bool AllocatesInline() const {
+    return is_manager() && reply_poll_us_.load(std::memory_order_relaxed) != 0;
+  }
   void MgrHandleAlloc(const MsgHeader& h);
   void MgrHandleBarrierEnter(const MsgHeader& h);
   void MgrHandleLockAcquire(const MsgHeader& h);
@@ -337,8 +357,8 @@ class DsmNode {
   // Waits for the reply tagged (slot, gen), discarding stale replies from
   // abandoned attempts (and ACKing discarded data replies so the manager
   // releases the minipage). timeout_ms = 0 waits forever. `poll` marks a wait
-  // a few hops from its reply (fault data, lock grant): it polls for
-  // reply_poll_us_ before parking. Barrier and allocation waits park at once.
+  // a few hops from its reply (fault data, lock grant, allocation): it polls
+  // for reply_poll_us_ before parking. Barrier waits park at once.
   Result<MsgHeader> AwaitReply(uint32_t slot, uint32_t gen, uint64_t timeout_ms,
                                const char* what, bool poll = false);
 
@@ -433,17 +453,20 @@ class DsmNode {
   std::unique_ptr<ViewSet> views_;
   WaitSlots slots_;
 
-  // mpt_/allocator_ exist only on host 0. directory_ is this host's manager
-  // shard: host 0 only when centralized, every host when sharded.
+  // mpt_/allocator_ exist only on host 0, guarded by alloc_mu_: the server
+  // thread translates and closes chunks, and a started host 0's application
+  // threads allocate inline. directory_ is this host's manager shard (host 0
+  // only when centralized, every host when sharded), server thread only.
+  std::mutex alloc_mu_;
   std::unique_ptr<MinipageTable> mpt_;
   std::unique_ptr<MinipageAllocator> allocator_;
   std::unique_ptr<Directory> directory_;
 
-  // Host 0, server thread only: minipage ids whose first request has been
-  // translated (= routed into service somewhere). A growing page-based chunk
-  // can re-present an already-shared id at allocation time; when sharded,
-  // host 0 cannot consult the remote shard's copyset, so this bit keeps
-  // MgrHandleAlloc from re-opening local RW protection over shared data.
+  // Host 0, guarded by alloc_mu_: minipage ids whose first request has been
+  // translated (= routed into service somewhere). A page-based allocation
+  // can re-present an already-shared page's id, and allocation never reads
+  // the directory, so this bit keeps MgrAllocate from re-opening local RW
+  // protection over shared data.
   std::vector<bool> mp_routed_;
 
   std::thread server_;

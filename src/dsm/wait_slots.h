@@ -4,14 +4,14 @@
 // waits from inside the SIGSEGV handler.
 //
 // Poll before park: a wait that is a few hops from its reply (a fault's data
-// reply, a lock grant) passes WaitFor a poll window (kPollWindowUs,
-// src/common/poll_window.h) and checks for a posted token with sem_trywait,
-// yielding between checks, before it parks on the semaphore — so a reply
-// that lands within the window is taken without a futex wake. The loop calls
-// only sem_trywait, clock_gettime and sched_yield. Barrier and allocation
-// waits, and every wait on a simulator-pumped node, park at once (DESIGN.md
-// §13). Post stamps each reply when metrics are on, and the waiter records
-// the Post-to-return time in the handoff histogram (dsm.reply_handoff_ns).
+// reply, a lock grant, an allocation) passes WaitFor a poll window
+// (kPollWindowUs, src/common/poll_window.h) and checks for a posted token with
+// sem_trywait, yielding between checks, before it parks on the semaphore — so
+// a reply that lands within the window is taken without a futex wake. The
+// loop calls only sem_trywait, clock_gettime and sched_yield. Barrier waits,
+// and every wait on a simulator-pumped node, park at once (DESIGN.md §13).
+// Post stamps each reply when metrics are on, and the waiter records the
+// Post-to-return time in the handoff histogram (dsm.reply_handoff_ns).
 //
 // Liveness layer: WaitFor bounds every wait with a deadline (sem_clockwait
 // on CLOCK_MONOTONIC: the same futex wait as sem_timedwait, so still
