@@ -127,8 +127,10 @@ struct DsmConfig {
   // these knobs bound every wait so a lost reply or dead peer turns into a
   // prompt error instead of an indefinite hang.
   //
-  // Per-attempt reply deadline for an idempotent fetch (fault service,
-  // composed-view group fetch). 0 = no deadline (paper-faithful optimism).
+  // Reply deadline for the first attempt of an idempotent fetch (fault
+  // service, composed-view group fetch); later attempts back off from it
+  // exponentially with seeded jitter (DsmNode::RetryTimeoutMs). 0 = no
+  // deadline (paper-faithful optimism).
   uint64_t request_timeout_ms = 2000;
   // Resends of an idempotent fetch after a timeout before the operation
   // fails. Retries are safe for fetches: the manager re-routes them against
@@ -138,18 +140,6 @@ struct DsmConfig {
   // acquire — none is idempotent, so they fail rather than resend). 0 = no
   // deadline. The default matches the process-cluster watchdog sweep.
   uint64_t sync_timeout_ms = 120000;
-
-  // Retry pacing: attempt k of an idempotent fetch waits
-  //   request_timeout_ms * retry_backoff_base^k
-  // (capped at retry_backoff_max_ms) before re-sending, with a seeded
-  // uniform jitter of ±retry_jitter_pct percent so a cluster of hosts that
-  // timed out together does not re-fire in lockstep against the same
-  // recovering shard. base = 1.0 with jitter 0 reproduces the historical
-  // fixed-interval policy. The jitter stream is seeded from a fixed constant
-  // ^ host id, so a run's retry schedule is reproducible.
-  double retry_backoff_base = 2.0;
-  uint64_t retry_backoff_max_ms = 30000;
-  uint32_t retry_jitter_pct = 20;
 
   // History recorder (src/common/trace.h). When non-null, the node and its
   // ViewSet append protocol events to this sink for the offline checker.

@@ -22,6 +22,21 @@
 
 namespace millipage {
 
+// A survivor poll. After a failover, the shard that adopted an id asks every
+// other live host what it holds of the dead shard's state: copies of a
+// minipage (kCopysetQuery), a lock's grant (kLockProbe), or the barrier
+// rounds completed (kBarrierProbe). Requests for the id queue while the poll
+// is open; DsmNode::OpenPoll starts it and DsmNode::AnswerPoll takes each
+// answer, or retires a host that died before answering.
+struct SurvivorPoll {
+  bool open = false;
+  // Latched when the poll opens: an adopted lock or barrier is polled at most
+  // once. (A rebuilt copyset never empties again: the id keeps a copy or is
+  // declared lost.)
+  bool done = false;
+  HostSet pending;  // hosts yet to answer
+};
+
 // Directory entry for one minipage.
 struct DirEntry {
   HostSet copyset;          // hosts holding a copy
@@ -56,11 +71,9 @@ struct DirEntry {
   HostId fetch_from = 0;
 
   // ---- Recovery state ------------------------------------------------------
-  // An adopted id whose copyset is being rebuilt: the new owning shard has
-  // broadcast kCopysetQuery and is waiting for the hosts in
-  // rebuild_pending to answer. Requests queue in `pending` meanwhile.
-  bool rebuilding = false;
-  HostSet rebuild_pending;
+  // An adopted id's copyset rebuild; requests queue in `pending` while it is
+  // open.
+  SurvivorPoll poll;
   // The minipage's sole copy died with its host: every copy is gone and the
   // id is permanently degraded. Requests are answered with a per-minipage
   // error (kFlagAbort data reply), never served — and never a cluster abort.
@@ -97,14 +110,11 @@ struct LockEntry {
   HostId holder = 0;
   std::deque<MsgHeader> waiters;
 
-  // Adopted-lock rebuild: before first grant after a failover, the new
-  // owning shard probes every live host for an existing holder (a grant by
-  // the dead shard that is still live must be honored, not double-granted).
-  // Acquires queue in `waiters` until the hosts in probe_pending answer.
-  // `probed` latches so an adopted lock is probed at most once.
-  bool probing = false;
-  bool probed = false;
-  HostSet probe_pending;
+  // Adopted-lock holder probe: before the first grant after a failover, the
+  // new owning shard asks every live host whether it holds the lock (a grant
+  // by the dead shard that is still live must be honored, not doubled).
+  // Acquires queue in `waiters` while it is open.
+  SurvivorPoll poll;
 
   bool HasWaiter(HostId h) const {
     for (const MsgHeader& w : waiters) {
@@ -135,19 +145,14 @@ struct LockEntry {
 
 struct BarrierState {
   uint32_t generation = 0;
-  // Arrival count, used by the LRC variant's fixed-membership barrier.
-  uint32_t arrived = 0;
-  // Arrival set, used by the DSM barrier: duplicate entries (post-failover
-  // re-sends) collapse instead of double-counting, and release re-evaluates
-  // against the live-host set when membership shrinks.
+  // Hosts with a queued entry: duplicate entries (post-failover re-sends)
+  // collapse instead of double-counting, and the DSM barrier's release
+  // re-evaluates against the live-host set when membership shrinks.
   HostSet arrived_set;
   std::vector<MsgHeader> waiters;
-  // Adopted-barrier generation probe (see DsmNode::StartBarrierProbe): true
-  // while live hosts' completed-round counts are being collected to seed
+  // Adopted-barrier generation probe: live hosts' completed-round counts seed
   // `generation` after the original barrier shard died.
-  bool probing = false;
-  bool probed = false;
-  HostSet probe_pending;
+  SurvivorPoll poll;
 };
 
 class Directory {

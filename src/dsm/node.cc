@@ -589,9 +589,9 @@ uint64_t DsmNode::RetryTimeoutMs(const DsmConfig& cfg, HostId host, uint32_t att
     return 0;  // no deadline configured: wait forever, no pacing
   }
   double scaled = static_cast<double>(base);
-  const double cap = static_cast<double>(cfg.retry_backoff_max_ms);
+  const double cap = static_cast<double>(kRetryBackoffMaxMs);
   for (uint32_t k = 0; k < attempt && scaled < cap; ++k) {
-    scaled *= cfg.retry_backoff_base;
+    scaled *= kRetryBackoffBase;
   }
   if (scaled > cap) {
     scaled = cap;
@@ -603,16 +603,14 @@ uint64_t DsmNode::RetryTimeoutMs(const DsmConfig& cfg, HostId host, uint32_t att
     // no-retry path at its configured latency budget.
     return ms < 1 ? 1 : ms;
   }
-  if (cfg.retry_jitter_pct > 0) {
-    // A fresh, deterministically seeded stream per (host, attempt): the
-    // schedule is reproducible yet decorrelated across hosts, so a cluster
-    // that timed out together does not re-fire in lockstep.
-    constexpr uint64_t kJitterSeed = 0x9e3779b97f4a7c15ULL;
-    Rng rng(kJitterSeed ^ (static_cast<uint64_t>(host) << 32) ^ attempt);
-    const uint64_t span = ms * cfg.retry_jitter_pct / 100;
-    if (span > 0) {
-      ms = ms - span + rng.Below(2 * span + 1);
-    }
+  // A fresh, deterministically seeded stream per (host, attempt): the
+  // schedule is reproducible yet decorrelated across hosts, so a cluster
+  // that timed out together does not re-fire in lockstep.
+  constexpr uint64_t kJitterSeed = 0x9e3779b97f4a7c15ULL;
+  Rng rng(kJitterSeed ^ (static_cast<uint64_t>(host) << 32) ^ attempt);
+  const uint64_t span = ms * kRetryJitterPct / 100;
+  if (span > 0) {
+    ms = ms - span + rng.Below(2 * span + 1);
   }
   return ms < 1 ? 1 : ms;
 }
@@ -1081,7 +1079,7 @@ void DsmNode::MgrStartService(MsgHeader h) {
     ReplyLost(h);
     return;
   }
-  if (e.rebuilding) {
+  if (e.poll.open) {
     e.pending.push_back(h);  // adopted id, copyset still being reassembled
     return;
   }
@@ -1095,8 +1093,7 @@ void DsmNode::MgrStartService(MsgHeader h) {
     // before arriving here (closing the growth chunk), so "never serviced"
     // ⇒ "still manager-held". Both policies bootstrap here; only sharded
     // shards can adopt (centralized ones never rehash).
-    const HostId home = config_.ManagerOf(h.minipage);
-    if (home != me_ && dead_set().Contains(home)) {
+    if (AdoptedHere(h.minipage)) {
       e.pending.push_back(h);
       StartCopysetRebuild(h);
       return;
@@ -1300,15 +1297,10 @@ void DsmNode::MgrHandleAck(const MsgHeader& h) {
     // wedging or aborting the cluster.
     e.copyset.Remove(h.from);
     if (e.copyset.Empty() && !e.lost) {
-      e.lost = true;
       e.writable = false;
-      minipages_lost_->Inc();
       MP_LOG(Error) << "host " << me_ << ": minipage " << h.minipage
                     << " lost: host " << h.from << " renounced the only copy";
-      while (!e.pending.empty()) {
-        ReplyLost(e.pending.front());
-        e.pending.pop_front();
-      }
+      DeclareLost(e);
     }
     if (e.in_service) {
       MgrFinishService(h.minipage);
@@ -1428,7 +1420,7 @@ void DsmNode::MgrHandleAlloc(const MsgHeader& h) {
 
 void DsmNode::MgrHandleBarrierEnter(const MsgHeader& h) {
   BarrierState& b = directory_->barrier();
-  if (BarrierNeedsProbe()) {
+  if (!b.poll.done && AdoptedHere(kBarrierShardId)) {
     StartBarrierProbe();
   }
   if (h.pgsize < b.generation) {
@@ -1437,10 +1429,7 @@ void DsmNode::MgrHandleBarrierEnter(const MsgHeader& h) {
     // round's quorum was met once — re-releasing it is idempotent, and
     // queueing the entry instead would strand the host waiting on peers that
     // have already moved past the round.
-    MsgHeader release = h;
-    release.set_type(MsgType::kBarrierRelease);
-    release.minipage = h.pgsize;
-    SendMsg(h.from, release);
+    SendBarrierRelease(h);
     return;
   }
   if (!b.arrived_set.Contains(h.from)) {
@@ -1457,8 +1446,28 @@ void DsmNode::MgrHandleBarrierEnter(const MsgHeader& h) {
       }
     }
   }
-  b.arrived = static_cast<uint32_t>(b.arrived_set.Count());
   MaybeReleaseBarrier();
+}
+
+void DsmNode::SendBarrierRelease(MsgHeader enter) {
+  enter.set_type(MsgType::kBarrierRelease);
+  enter.minipage = enter.pgsize;
+  SendMsg(enter.from, enter);
+}
+
+void DsmNode::ReleaseBarrierBelow(uint32_t gen) {
+  BarrierState& b = directory_->barrier();
+  size_t kept = 0;
+  for (size_t i = 0; i < b.waiters.size(); ++i) {
+    const MsgHeader w = b.waiters[i];
+    if (w.pgsize < gen) {
+      b.arrived_set.Remove(w.from);
+      SendBarrierRelease(w);
+    } else {
+      b.waiters[kept++] = w;
+    }
+  }
+  b.waiters.resize(kept);
 }
 
 void DsmNode::MaybeReleaseBarrier() {
@@ -1481,22 +1490,7 @@ void DsmNode::MaybeReleaseBarrier() {
   for (const MsgHeader& w : b.waiters) {
     min_gen = std::min(min_gen, w.pgsize);
   }
-  std::vector<MsgHeader> keep;
-  HostSet kept;
-  for (const MsgHeader& w : b.waiters) {
-    if (w.pgsize == min_gen) {
-      MsgHeader release = w;
-      release.set_type(MsgType::kBarrierRelease);
-      release.minipage = min_gen;
-      SendMsg(w.from, release);
-    } else {
-      keep.push_back(w);
-      kept.Add(w.from);
-    }
-  }
-  b.waiters.assign(keep.begin(), keep.end());
-  b.arrived_set = kept;
-  b.arrived = static_cast<uint32_t>(kept.Count());
+  ReleaseBarrierBelow(min_gen + 1);
   b.generation = min_gen + 1;
 }
 
@@ -1510,65 +1504,24 @@ void DsmNode::MaybeReleaseBarrier() {
 // round k's quorum was met at the dead shard, and the stragglers re-sending
 // round k can be released without a fresh quorum.
 
-bool DsmNode::BarrierNeedsProbe() const {
-  const BarrierState& b = static_cast<const Directory*>(directory_.get())->barrier();
-  if (b.probed || b.probing || !RecoveryEnabled()) {
-    return false;
-  }
-  const HostSet& dead = dead_set();
-  if (dead.Empty()) {
-    return false;
-  }
-  const HostId home = config_.BarrierManager();
-  // Only an adopted barrier is probed: the original home's state is
-  // authoritative.
-  return home != me_ && dead.Contains(home);
-}
-
 void DsmNode::StartBarrierProbe() {
   BarrierState& b = directory_->barrier();
-  b.probing = true;
-  b.probed = true;
-  b.probe_pending = live_set();
-  b.probe_pending.Remove(me_);
-  // Our own completed-round count seeds the generation (we are not probed).
+  // Our own completed-round count seeds the generation.
   {
     std::lock_guard<std::mutex> lock(epoch_mu_);
     b.generation = std::max(b.generation, epoch_);
   }
   MsgHeader probe;
-  probe.set_type(MsgType::kBarrierProbe);
-  probe.from = me_;
-  probe.seq = kNoWaitSlot;
   probe.minipage = kBarrierShardId;
-  b.probe_pending.ForEach([&](uint32_t host) { SendMsg(static_cast<HostId>(host), probe); });
-  if (b.probe_pending.Empty()) {
+  if (OpenPoll(b.poll, MsgType::kBarrierProbe, probe)) {
     FinishBarrierProbe();
   }
 }
 
 void DsmNode::FinishBarrierProbe() {
-  BarrierState& b = directory_->barrier();
-  b.probing = false;
-  b.probe_pending.Clear();
   // Rounds below the probed generation met quorum at the dead shard: release
   // their stragglers now — the hosts released back then may never re-enter.
-  std::vector<MsgHeader> keep;
-  HostSet kept;
-  for (const MsgHeader& w : b.waiters) {
-    if (w.pgsize < b.generation) {
-      MsgHeader release = w;
-      release.set_type(MsgType::kBarrierRelease);
-      release.minipage = w.pgsize;
-      SendMsg(w.from, release);
-    } else {
-      keep.push_back(w);
-      kept.Add(w.from);
-    }
-  }
-  b.waiters.assign(keep.begin(), keep.end());
-  b.arrived_set = kept;
-  b.arrived = static_cast<uint32_t>(kept.Count());
+  ReleaseBarrierBelow(directory_->barrier().generation);
   MaybeReleaseBarrier();
 }
 
@@ -1585,51 +1538,31 @@ void DsmNode::HandleBarrierProbe(const MsgHeader& h) {
 
 void DsmNode::MgrHandleBarrierProbeReply(const MsgHeader& h) {
   BarrierState& b = directory_->barrier();
-  if (!b.probing) {
-    return;  // stale (probe already resolved)
+  const PollStep step = AnswerPoll(b.poll, h.from);
+  if (step == PollStep::kStale) {
+    return;
   }
-  b.probe_pending.Remove(h.from);
   b.generation = std::max(b.generation, h.pgsize);
-  if (!b.probe_pending.Intersects(live_set())) {
+  if (step == PollStep::kClosed) {
     FinishBarrierProbe();
   }
 }
 
 void DsmNode::MgrHandleLockAcquire(const MsgHeader& h) {
   LockEntry& l = directory_->Lock(h.minipage);
-  if (LockNeedsProbe(h.minipage, l)) {
+  if (!l.poll.done && AdoptedHere(h.minipage)) {
     StartLockProbe(h.minipage);
   }
-  if (l.probing) {
-    // Adoption in progress: queue until every live host has answered the
-    // holder probe (a grant issued by the dead shard must be honored, not
-    // doubled).
+  if (l.poll.open || (l.held && l.holder != h.from)) {
+    // Queue behind the holder, or, while an adoption poll is open, until
+    // every live host has answered it (a grant issued by the dead shard must
+    // be honored, not doubled).
     if (!l.RefreshWaiter(h)) {
       l.waiters.push_back(h);
     }
     return;
   }
-  if (l.held) {
-    if (l.holder == h.from) {
-      // The current holder re-sent its acquire (its original grant was
-      // dropped across an epoch bump): re-grant idempotently. No kLockGrant
-      // trace — this is not a new hand-off.
-      MsgHeader grant = h;
-      grant.set_type(MsgType::kLockGrant);
-      SendMsg(h.from, grant);
-      return;
-    }
-    if (!l.RefreshWaiter(h)) {
-      l.waiters.push_back(h);
-    }
-    return;
-  }
-  l.held = true;
-  l.holder = h.from;
-  Trace(TraceEventKind::kLockGrant, h.minipage, 0, h.from);
-  MsgHeader grant = h;
-  grant.set_type(MsgType::kLockGrant);
-  SendMsg(h.from, grant);
+  GrantLock(h.minipage, l, h);
 }
 
 void DsmNode::MgrHandleLockRelease(const MsgHeader& h) {
@@ -1644,51 +1577,34 @@ void DsmNode::MgrHandleLockRelease(const MsgHeader& h) {
     MP_CHECK(l.held && l.holder == h.from) << "unlock by non-holder";
   }
   Trace(TraceEventKind::kLockRelease, h.minipage, 0, h.from);
-  if (l.probing) {
-    l.held = false;  // grant deferred until the probe finishes
+  PassLock(h.minipage, l);
+}
+
+void DsmNode::GrantLock(uint32_t lock_id, LockEntry& l, MsgHeader acquire) {
+  if (!l.held) {
+    l.held = true;
+    l.holder = acquire.from;
+    Trace(TraceEventKind::kLockGrant, lock_id, 0, acquire.from);
+  }
+  acquire.set_type(MsgType::kLockGrant);
+  SendMsg(acquire.from, acquire);
+}
+
+void DsmNode::PassLock(uint32_t lock_id, LockEntry& l) {
+  l.held = false;
+  if (l.waiters.empty() || l.poll.open) {
     return;
   }
-  if (l.waiters.empty()) {
-    l.held = false;
-    return;
-  }
-  MsgHeader next = l.waiters.front();
+  const MsgHeader next = l.waiters.front();
   l.waiters.pop_front();
-  l.holder = next.from;
-  Trace(TraceEventKind::kLockGrant, next.minipage, 0, next.from);
-  next.set_type(MsgType::kLockGrant);
-  SendMsg(next.from, next);
+  GrantLock(lock_id, l, next);
 }
 
 // ---- Adopted-lock holder probe ---------------------------------------------
 
-bool DsmNode::LockNeedsProbe(uint32_t lock_id, const LockEntry& l) const {
-  if (l.probed || l.probing || !RecoveryEnabled()) {
-    return false;
-  }
-  const HostSet& dead = dead_set();
-  if (dead.Empty()) {
-    return false;
-  }
-  const HostId home = config_.ManagerOf(lock_id);
-  // Only adopted locks are probed: if this shard is the original home, its
-  // own state is authoritative.
-  return home != me_ && dead.Contains(home);
-}
-
 void DsmNode::StartLockProbe(uint32_t lock_id) {
   LockEntry& l = directory_->Lock(lock_id);
-  l.probing = true;
-  l.probed = true;
-  l.probe_pending = live_set();
-  l.probe_pending.Remove(me_);
-  MsgHeader probe;
-  probe.set_type(MsgType::kLockProbe);
-  probe.from = me_;
-  probe.seq = kNoWaitSlot;
-  probe.minipage = lock_id;
-  l.probe_pending.ForEach([&](uint32_t host) { SendMsg(static_cast<HostId>(host), probe); });
-  // Check our own held set inline (we are not in the probed set).
+  // Our own held set answers for this host.
   {
     std::lock_guard<std::mutex> lock(held_mu_);
     if (held_locks_.count(lock_id) != 0) {
@@ -1696,26 +1612,18 @@ void DsmNode::StartLockProbe(uint32_t lock_id) {
       l.holder = me_;
     }
   }
-  if (l.probe_pending.Empty()) {
+  MsgHeader probe;
+  probe.minipage = lock_id;
+  if (OpenPoll(l.poll, MsgType::kLockProbe, probe)) {
     FinishLockProbe(lock_id);
   }
 }
 
 void DsmNode::FinishLockProbe(uint32_t lock_id) {
+  // A surviving holder keeps the lock, and the waiters queue behind it.
   LockEntry& l = directory_->Lock(lock_id);
-  l.probing = false;
-  l.probe_pending.Clear();
-  if (l.held) {
-    return;  // a surviving holder claimed the lock; waiters queue behind it
-  }
-  if (!l.waiters.empty()) {
-    MsgHeader next = l.waiters.front();
-    l.waiters.pop_front();
-    l.held = true;
-    l.holder = next.from;
-    Trace(TraceEventKind::kLockGrant, lock_id, 0, next.from);
-    next.set_type(MsgType::kLockGrant);
-    SendMsg(next.from, next);
+  if (!l.held) {
+    PassLock(lock_id, l);
   }
 }
 
@@ -1734,17 +1642,17 @@ void DsmNode::HandleLockProbe(const MsgHeader& h) {
 
 void DsmNode::MgrHandleLockProbeReply(const MsgHeader& h) {
   LockEntry& l = directory_->Lock(h.minipage);
-  if (!l.probing) {
-    return;  // stale (probe already resolved)
+  const PollStep step = AnswerPoll(l.poll, h.from);
+  if (step == PollStep::kStale) {
+    return;
   }
-  l.probe_pending.Remove(h.from);
   if ((h.flags & kFlagUpgrade) != 0) {
     MP_CHECK(!l.held || l.holder == h.from)
         << "two hosts claim lock " << h.minipage << " during adoption probe";
     l.held = true;
     l.holder = h.from;
   }
-  if (!l.probe_pending.Intersects(live_set())) {
+  if (step == PollStep::kClosed) {
     FinishLockProbe(h.minipage);
   }
 }
@@ -2164,9 +2072,8 @@ void DsmNode::RepairAfterDeath(HostId dead) {
       e.RemoveCopy(dead);
       copyset_repairs_->Inc();
     }
-    if (e.rebuilding) {
-      e.rebuild_pending.Remove(dead);
-      if (!e.rebuild_pending.Intersects(live_set())) {
+    if (const PollStep step = AnswerPoll(e.poll, dead); step != PollStep::kStale) {
+      if (step == PollStep::kClosed) {
         FinishCopysetRebuild(id);
       }
       continue;
@@ -2208,7 +2115,6 @@ void DsmNode::RepairAfterDeath(HostId dead) {
       e.lost = true;
     }
     if (e.lost) {
-      minipages_lost_->Inc();
       Trace(TraceEventKind::kMinipageLost, id, 0, dead);
       if (e.write_pending) {
         ReplyLost(e.pending_write);
@@ -2217,10 +2123,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
       }
       e.in_service = false;
       e.push_outstanding = 0;
-      while (!e.pending.empty()) {
-        ReplyLost(e.pending.front());
-        e.pending.pop_front();
-      }
+      DeclareLost(e);
       continue;
     }
     // Retire the invalidation the dead host will never answer.
@@ -2252,40 +2155,24 @@ void DsmNode::RepairAfterDeath(HostId dead) {
     for (auto it = l.waiters.begin(); it != l.waiters.end();) {
       it = (it->from == dead) ? l.waiters.erase(it) : std::next(it);
     }
-    if (l.probing) {
-      l.probe_pending.Remove(dead);
-      if (!l.probe_pending.Intersects(live_set())) {
-        FinishLockProbe(lock_id);
-      }
+    if (AnswerPoll(l.poll, dead) == PollStep::kClosed) {
+      FinishLockProbe(lock_id);
     }
     if (l.held && l.holder == dead) {
       Trace(TraceEventKind::kLockRelease, lock_id, 0, dead);
-      if (l.waiters.empty() || l.probing) {
-        l.held = false;
-      } else {
-        MsgHeader next = l.waiters.front();
-        l.waiters.pop_front();
-        l.holder = next.from;
-        Trace(TraceEventKind::kLockGrant, lock_id, 0, next.from);
-        next.set_type(MsgType::kLockGrant);
-        SendMsg(next.from, next);
-      }
+      PassLock(lock_id, l);
     }
   }
   // Barrier: the dead host no longer counts toward (or blocks) release.
   BarrierState& b = directory_->barrier();
-  if (b.probing) {
-    b.probe_pending.Remove(dead);
-    if (!b.probe_pending.Intersects(live_set())) {
-      FinishBarrierProbe();
-    }
+  if (AnswerPoll(b.poll, dead) == PollStep::kClosed) {
+    FinishBarrierProbe();
   }
   if (b.arrived_set.Contains(dead)) {
     b.arrived_set.Remove(dead);
     for (auto it = b.waiters.begin(); it != b.waiters.end();) {
       it = (it->from == dead) ? b.waiters.erase(it) : std::next(it);
     }
-    b.arrived = static_cast<uint32_t>(b.arrived_set.Count());
   }
   MaybeReleaseBarrier();
 }
@@ -2322,6 +2209,15 @@ bool DsmNode::AwaitMembershipChange(uint32_t epoch_before) {
   return member_epoch() > epoch_before;
 }
 
+void DsmNode::DeclareLost(DirEntry& e) {
+  e.lost = true;
+  minipages_lost_->Inc();
+  while (!e.pending.empty()) {
+    ReplyLost(e.pending.front());
+    e.pending.pop_front();
+  }
+}
+
 void DsmNode::ReplyLost(const MsgHeader& h) {
   if (h.msg_type() == MsgType::kInvalidateRequest) {
     return;  // nothing useful to answer
@@ -2337,23 +2233,49 @@ void DsmNode::ReplyLost(const MsgHeader& h) {
   SendMsg(h.from, reply);
 }
 
+// ---- Survivor poll -----------------------------------------------------------
+//
+// A shard that adopts a dead shard's id cannot know what the dead shard
+// granted, so before serving the id it asks every other live host: copyset
+// rebuild (kCopysetQuery), lock-holder probe (kLockProbe) and barrier-
+// generation probe (kBarrierProbe) are three kinds of one poll. Each kind
+// keeps only what an answer means and what closing the poll does.
+
+bool DsmNode::AdoptedHere(uint32_t id) const {
+  const HostId home = config_.ManagerOf(id);
+  return home != me_ && dead_set().Contains(home) && LiveManagerOf(id) == me_;
+}
+
+bool DsmNode::OpenPoll(SurvivorPoll& poll, MsgType type, MsgHeader query) {
+  query.set_type(type);
+  query.from = me_;
+  query.seq = kNoWaitSlot;
+  poll.open = true;
+  poll.done = true;
+  poll.pending = live_set();
+  poll.pending.Remove(me_);
+  poll.pending.ForEach([&](uint32_t host) { SendMsg(static_cast<HostId>(host), query); });
+  // This host has answered for itself: the caller seeded its own state.
+  return AnswerPoll(poll, me_) == PollStep::kClosed;
+}
+
+DsmNode::PollStep DsmNode::AnswerPoll(SurvivorPoll& poll, HostId from) {
+  if (!poll.open) {
+    return PollStep::kStale;  // the poll already closed
+  }
+  poll.pending.Remove(from);
+  if (poll.pending.Intersects(live_set())) {
+    return PollStep::kWaiting;
+  }
+  poll.open = false;
+  poll.pending.Clear();
+  return PollStep::kClosed;
+}
+
 // ---- Adopted-minipage copyset rebuild --------------------------------------
 
 void DsmNode::StartCopysetRebuild(const MsgHeader& h) {
   DirEntry& e = directory_->Entry(h.minipage);
-  e.rebuilding = true;
-  e.rebuild_pending = live_set();
-  e.rebuild_pending.Remove(me_);
-  // Ask every live host whether it holds a copy; the translated geometry
-  // travels in the header exactly like a forward, so responders can check
-  // their own view protection without an MPT.
-  MsgHeader query = h;
-  query.set_type(MsgType::kCopysetQuery);
-  query.from = me_;
-  query.seq = kNoWaitSlot;
-  query.flags = 0;
-  e.rebuild_pending.ForEach(
-      [&](uint32_t host) { SendMsg(static_cast<HostId>(host), query); });
   // Count our own copy inline.
   const Minipage mp = MinipageFromHeader(h);
   const Protection mine = views_->GetProtection(mp);
@@ -2361,7 +2283,12 @@ void DsmNode::StartCopysetRebuild(const MsgHeader& h) {
     e.AddCopy(me_);
     e.writable = mine == Protection::kReadWrite;
   }
-  if (e.rebuild_pending.Empty()) {
+  // Ask every live host whether it holds a copy; the translated geometry
+  // travels in the header exactly like a forward, so responders can check
+  // their own view protection without an MPT.
+  MsgHeader query = h;
+  query.flags = 0;
+  if (OpenPoll(e.poll, MsgType::kCopysetQuery, query)) {
     FinishCopysetRebuild(h.minipage);
   }
 }
@@ -2377,10 +2304,10 @@ void DsmNode::HandleCopysetQuery(const MsgHeader& h) {
 
 void DsmNode::MgrHandleCopysetReply(const MsgHeader& h) {
   DirEntry& e = directory_->Entry(h.minipage);
-  if (!e.rebuilding) {
-    return;  // stale (rebuild already resolved)
+  const PollStep step = AnswerPoll(e.poll, h.from);
+  if (step == PollStep::kStale) {
+    return;
   }
-  e.rebuild_pending.Remove(h.from);
   const auto prot = static_cast<Protection>(h.pgsize);
   if (prot != Protection::kNoAccess) {
     e.AddCopy(h.from);
@@ -2388,24 +2315,17 @@ void DsmNode::MgrHandleCopysetReply(const MsgHeader& h) {
       e.writable = true;
     }
   }
-  if (!e.rebuild_pending.Intersects(live_set())) {
+  if (step == PollStep::kClosed) {
     FinishCopysetRebuild(h.minipage);
   }
 }
 
 void DsmNode::FinishCopysetRebuild(MinipageId id) {
   DirEntry& e = directory_->Entry(id);
-  e.rebuilding = false;
-  e.rebuild_pending.Clear();
   if (e.copyset.Empty()) {
     // No live host holds a copy: the id died with its owner.
-    e.lost = true;
-    minipages_lost_->Inc();
     Trace(TraceEventKind::kMinipageLost, id, 0, 0);
-    while (!e.pending.empty()) {
-      ReplyLost(e.pending.front());
-      e.pending.pop_front();
-    }
+    DeclareLost(e);
     return;
   }
   MP_LOG(Error) << "host " << me_ << ": adopted minipage " << id
@@ -2446,9 +2366,9 @@ std::string DsmNode::LivenessReport() const {
     // Manager-side view: how much protocol state is wedged mid-transaction.
     // Racy snapshot (the directory belongs to the server thread), diagnostics
     // only.
-    snprintf(buf, sizeof(buf), " dir{minipages=%zu in_service=%zu barrier_arrived=%u}",
+    snprintf(buf, sizeof(buf), " dir{minipages=%zu in_service=%zu barrier_arrived=%d}",
              directory_->num_entries(), directory_->InServiceCount(),
-             static_cast<const Directory*>(directory_.get())->barrier().arrived);
+             static_cast<const Directory*>(directory_.get())->barrier().arrived_set.Count());
     s += buf;
   }
   s += "}";

@@ -191,11 +191,17 @@ class DsmNode {
   // deterministic. Returns true if a death was processed.
   bool ProcessPendingDeaths();
 
+  // Retry pacing for idempotent fetches. Each attempt's window doubles up to
+  // a cap, and the seeded jitter keeps a cluster of hosts that timed out
+  // together from re-firing in lockstep against the same recovering shard.
+  static constexpr double kRetryBackoffBase = 2.0;
+  static constexpr uint64_t kRetryBackoffMaxMs = 30000;
+  static constexpr uint32_t kRetryJitterPct = 20;
   // Per-attempt reply deadline for idempotent-fetch attempt `attempt`
-  // (0-based): request_timeout_ms * retry_backoff_base^attempt, capped at
-  // retry_backoff_max_ms, with ±retry_jitter_pct% jitter drawn from a fixed
-  // seed. Pure function of (cfg, host, attempt) so a run's retry schedule is
-  // reproducible; exposed for tests.
+  // (0-based): request_timeout_ms * kRetryBackoffBase^attempt, capped at
+  // kRetryBackoffMaxMs, with ±kRetryJitterPct% jitter (none on attempt 0)
+  // drawn from a fixed seed ^ host id. Pure function of (cfg, host, attempt)
+  // so a run's retry schedule is reproducible; exposed for tests.
   static uint64_t RetryTimeoutMs(const DsmConfig& cfg, HostId host, uint32_t attempt);
 
   // Recovery counters (dsm.* in the registry).
@@ -317,6 +323,20 @@ class DsmNode {
   void MgrHandleBarrierEnter(const MsgHeader& h);
   void MgrHandleLockAcquire(const MsgHeader& h);
   void MgrHandleLockRelease(const MsgHeader& h);
+  // Grants free lock `lock_id` to the sender of `acquire`: sets the holder,
+  // traces kLockGrant and sends the grant. A lock the sender already holds
+  // is only re-sent its grant (the first was dropped across an epoch bump):
+  // no new hand-off, so nothing is traced.
+  void GrantLock(uint32_t lock_id, LockEntry& l, MsgHeader acquire);
+  // Passes a lock its holder let go of (released, or died) to the oldest
+  // waiter; frees it when none waits or an open poll defers every grant.
+  void PassLock(uint32_t lock_id, LockEntry& l);
+  // Releases the waiter that sent `enter` from the round it entered (its
+  // pgsize).
+  void SendBarrierRelease(MsgHeader enter);
+  // Releases every queued waiter that entered a round below `gen`; the rest
+  // stay queued and arrived.
+  void ReleaseBarrierBelow(uint32_t gen);
 
   // Serving side (any host).
   void ServeReadRequest(const MsgHeader& h);
@@ -386,13 +406,29 @@ class DsmNode {
   bool AwaitMembershipChange(uint32_t epoch_before);
   // Answers a request for a lost minipage with a kFlagAbort data reply.
   void ReplyLost(const MsgHeader& h);
+  // Marks `e` permanently lost and answers every queued request with
+  // ReplyLost.
+  void DeclareLost(DirEntry& e);
+
+  // Survivor poll (SurvivorPoll in directory.h). True when `id`'s home shard
+  // is dead and this host is its live successor: the id was adopted here.
+  bool AdoptedHere(uint32_t id) const;
+  // Opens `poll` and sends `query` as a `type` message to every live host
+  // but this one. Returns true when no other host lives: the poll closed.
+  bool OpenPoll(SurvivorPoll& poll, MsgType type, MsgHeader query);
+  // Takes `from` off the poll: its answer arrived, or it died. kStale when
+  // the poll is not open (the answer is ignored); kClosed when no live host
+  // is left to answer, which closes it.
+  enum class PollStep : uint8_t { kStale, kWaiting, kClosed };
+  PollStep AnswerPoll(SurvivorPoll& poll, HostId from);
+  // The poll's three kinds: Start* seeds this host's own answer and opens the
+  // poll, MgrHandle*Reply records an answer, Finish* acts on the closed poll.
   // Copyset rebuild for an adopted id (geometry travels in `h`).
   void StartCopysetRebuild(const MsgHeader& h);
   void FinishCopysetRebuild(MinipageId id);
   void HandleCopysetQuery(const MsgHeader& h);
   void MgrHandleCopysetReply(const MsgHeader& h);
   // Adopted-lock holder probe.
-  bool LockNeedsProbe(uint32_t lock_id, const LockEntry& l) const;
   void StartLockProbe(uint32_t lock_id);
   void FinishLockProbe(uint32_t lock_id);
   void HandleLockProbe(const MsgHeader& h);
@@ -402,7 +438,6 @@ class DsmNode {
   // proves round k's quorum was met at the dead shard, so a straggler
   // re-sending round k can be released even if the released hosts have
   // finished their scripts and will never enter the barrier again.
-  bool BarrierNeedsProbe() const;
   void StartBarrierProbe();
   void FinishBarrierProbe();
   void HandleBarrierProbe(const MsgHeader& h);

@@ -1,6 +1,7 @@
 #include "src/lrc/lrc_node.h"
 
 #include <cstring>
+#include <string>
 
 #include "src/common/logging.h"
 #include "src/os/page.h"
@@ -20,13 +21,12 @@ MsgType FetchReplyType(const MsgHeader& request) {
 
 Result<std::unique_ptr<LrcNode>> LrcNode::Create(const DsmConfig& config, HostId me,
                                                  Transport* transport) {
+  if (config.num_hosts == 0 || config.num_hosts > kMaxHosts) {
+    return Status::Invalid("LrcNode: num_hosts must be in [1, " + std::to_string(kMaxHosts) +
+                           "] (wire host ids are 10 bits)");
+  }
   if (me >= config.num_hosts) {
     return Status::Invalid("LrcNode: host id out of range");
-  }
-  if (config.num_hosts > 64) {
-    // Directory copysets are 64-bit masks; larger deployments would shift
-    // host bits out of range.
-    return Status::Invalid("LrcNode: num_hosts must be <= 64");
   }
   auto node = std::unique_ptr<LrcNode>(new LrcNode(config, me, transport));
   MP_ASSIGN_OR_RETURN(node->views_, ViewSet::Create(config.object_size, config.num_views));
@@ -377,9 +377,9 @@ void LrcNode::MgrHandleAlloc(const MsgHeader& h) {
 
 void LrcNode::MgrHandleBarrierEnter(const MsgHeader& h) {
   BarrierState& b = directory_->barrier();
-  b.arrived++;
+  b.arrived_set.Add(h.from);
   b.waiters.push_back(h);
-  if (b.arrived < config_.num_hosts) {
+  if (b.arrived_set.Count() < config_.num_hosts) {
     return;
   }
   for (const MsgHeader& w : b.waiters) {
@@ -389,7 +389,7 @@ void LrcNode::MgrHandleBarrierEnter(const MsgHeader& h) {
     SendMsg(w.from, release);
   }
   b.generation++;
-  b.arrived = 0;
+  b.arrived_set.Clear();
   b.waiters.clear();
 }
 

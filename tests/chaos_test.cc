@@ -216,26 +216,23 @@ TEST(Chaos, DroppedFetchReplyRecoversByRetry) {
 // ---- Retry pacing: exponential backoff with seeded jitter ------------------
 
 // The schedule is a pure function of (config, host, attempt): attempt 0 is
-// the configured timeout exactly, later attempts grow by retry_backoff_base
-// within ±retry_jitter_pct, the cap bounds every attempt, and the same seed
+// the configured timeout exactly, later attempts grow by kRetryBackoffBase
+// within ±kRetryJitterPct, the cap bounds every attempt, and the same seed
 // always reproduces the same schedule.
 TEST(Chaos, RetryBackoffScheduleIsExponentialSeededAndCapped) {
   DsmConfig cfg;
-  cfg.request_timeout_ms = 100;
-  cfg.retry_backoff_base = 2.0;
-  cfg.retry_backoff_max_ms = 1000;
-  cfg.retry_jitter_pct = 20;
+  cfg.request_timeout_ms = 2000;  // attempts 4 and up reach the 30 s cap
 
   // Attempt 0 carries no jitter: the common no-retry path keeps its exact
   // configured latency budget.
-  EXPECT_EQ(DsmNode::RetryTimeoutMs(cfg, 0, 0), 100u);
-  EXPECT_EQ(DsmNode::RetryTimeoutMs(cfg, 5, 0), 100u);
+  EXPECT_EQ(DsmNode::RetryTimeoutMs(cfg, 0, 0), 2000u);
+  EXPECT_EQ(DsmNode::RetryTimeoutMs(cfg, 5, 0), 2000u);
 
   // Later attempts double, give or take the jitter band, until the cap.
-  uint64_t expected = 100;
+  uint64_t expected = 2000;
   for (uint32_t attempt = 1; attempt <= 6; ++attempt) {
-    expected = std::min<uint64_t>(expected * 2, cfg.retry_backoff_max_ms);
-    const uint64_t span = expected * cfg.retry_jitter_pct / 100;
+    expected = std::min<uint64_t>(expected * 2, DsmNode::kRetryBackoffMaxMs);
+    const uint64_t span = expected * DsmNode::kRetryJitterPct / 100;
     for (HostId host = 0; host < 8; ++host) {
       const uint64_t ms = DsmNode::RetryTimeoutMs(cfg, host, attempt);
       EXPECT_GE(ms, expected - span) << "host " << host << " attempt " << attempt;
@@ -253,13 +250,6 @@ TEST(Chaos, RetryBackoffScheduleIsExponentialSeededAndCapped) {
     differs = DsmNode::RetryTimeoutMs(cfg, host, 1) != h0;
   }
   EXPECT_TRUE(differs) << "every host retries at the same instant";
-
-  // base = 1.0 with jitter 0 reproduces the historical fixed interval.
-  cfg.retry_backoff_base = 1.0;
-  cfg.retry_jitter_pct = 0;
-  for (uint32_t attempt = 0; attempt < 4; ++attempt) {
-    EXPECT_EQ(DsmNode::RetryTimeoutMs(cfg, 3, attempt), 100u);
-  }
 }
 
 // Failure-driven proof of the spacing: with two consecutive data replies
@@ -271,8 +261,6 @@ TEST(Chaos, DroppedRepliesBackOffBeforeEachResend) {
   cfg.enable_ack = false;  // retries need the manager to re-serve (see above)
   cfg.request_timeout_ms = 100;
   cfg.max_request_retries = 3;
-  cfg.retry_backoff_base = 2.0;
-  cfg.retry_jitter_pct = 0;  // deterministic spacing for the timing assert
   FaultyPair pair(cfg);
 
   Result<GlobalAddr> addr = pair.n0->SharedMalloc(32 * sizeof(int));
@@ -290,7 +278,7 @@ TEST(Chaos, DroppedRepliesBackOffBeforeEachResend) {
   EXPECT_EQ(pair.t1.receives_dropped(), 2u);
   EXPECT_EQ(pair.n1->timeout_retries(), 2u);
   const uint64_t floor_ms = DsmNode::RetryTimeoutMs(cfg, 1, 0) +
-                            DsmNode::RetryTimeoutMs(cfg, 1, 1);  // 100 + 200
+                            DsmNode::RetryTimeoutMs(cfg, 1, 1);  // 100 + (160..240)
   EXPECT_GE(elapsed_ms, floor_ms - 2) << "retries fired faster than the backoff";
   EXPECT_LT(elapsed_ms, kDetectBudgetMs);
   const int* data1 = reinterpret_cast<const int*>(pair.n1->AppPtr(*addr));

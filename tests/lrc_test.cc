@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/host_set.h"
 #include "src/lrc/lrc_cluster.h"
+#include "src/net/inproc_transport.h"
 
 namespace millipage {
 namespace {
@@ -205,6 +207,21 @@ TEST(Lrc, ChunkedAllocationsShareMinipages) {
     }
     node.Barrier();
   });
+}
+
+// LRC keeps no copyset, so its host count is bounded only by the wire's
+// host-id range, the same [1, kMaxHosts] that DsmNode::Create checks.
+TEST(Lrc, CreateAcceptsEveryWireHostCount) {
+  InProcTransport transport(65);
+  Result<std::unique_ptr<LrcNode>> node = LrcNode::Create(LrcConfig(65), 64, &transport);
+  ASSERT_TRUE(node.ok()) << node.status().ToString();
+  EXPECT_EQ((*node)->num_hosts(), 65);
+
+  Result<std::unique_ptr<LrcNode>> too_many =
+      LrcNode::Create(LrcConfig(static_cast<uint16_t>(kMaxHosts + 1)), 0, &transport);
+  ASSERT_FALSE(too_many.ok());
+  EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument)
+      << too_many.status().ToString();
 }
 
 }  // namespace

@@ -242,6 +242,92 @@ TEST(Recovery, SoleCopyLossIsPerMinipageNotFound) {
   EXPECT_TRUE(n1.health().ok());
 }
 
+// ---- Survivor poll: what only the survivors' answers can settle ------------
+
+// The adopted id's home shard was also its only holder: the adopter's poll
+// finds no live copy, so the id is declared lost at the adopter instead of
+// waiting for a copy that no longer exists.
+TEST(Recovery, AdoptedIdWithNoLiveCopyIsNotFound) {
+  FaultyCluster trio(RecoveryConfig());
+  DsmNode& n0 = trio.node(0);
+  DsmNode& n1 = trio.node(1);
+  DsmNode& n2 = trio.node(2);
+
+  Result<GlobalAddr> a = n0.SharedMalloc(16 * sizeof(int));  // id 0, shard 0
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  n0.CloseChunk();
+  Result<GlobalAddr> b = n0.SharedMalloc(16 * sizeof(int));  // id 1, shard 1
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  n0.CloseChunk();
+
+  // Host 1 write-faults its own shard's minipage: the write invalidates host
+  // 0's copy, so host 1 is both id 1's home shard and its only holder.
+  ASSERT_TRUE(n1.FaultService(b->view, b->offset, /*is_write=*/true).ok());
+  ::usleep(100 * 1000);  // let the invalidation round fully retire
+
+  trio.Kill(1);
+  ASSERT_TRUE(trio.AwaitEpoch(0, 1));
+  ASSERT_TRUE(trio.AwaitEpoch(2, 1));
+
+  // Id 1 rehashes to host 2, which has no entry for it. Its poll asks host 0,
+  // which holds no copy either, so the id is lost: the fault fails per access
+  // instead of hanging.
+  const Status lost = n0.FaultService(b->view, b->offset, /*is_write=*/false);
+  ASSERT_FALSE(lost.ok());
+  EXPECT_EQ(lost.code(), StatusCode::kNotFound) << lost.ToString();
+  EXPECT_TRUE(n0.IsLost(1));
+  EXPECT_GE(n2.minipages_lost(), 1u);
+
+  // The loss is scoped to that one minipage.
+  EXPECT_TRUE(n2.FaultService(a->view, a->offset, /*is_write=*/false).ok());
+  EXPECT_TRUE(n0.health().ok());
+  EXPECT_TRUE(n2.health().ok());
+}
+
+// With three hosts the barrier shard is host 2. Host 0's release for round 0
+// is lost, so host 0 is still waiting when host 2 dies, while host 1 has
+// completed the round and enters no further barrier. Host 0 adopts the
+// barrier and re-sends its round-0 entry. Only host 1's poll answer (one
+// round completed) proves that round 0 met its quorum at the dead shard:
+// without it the entry would wait for host 1 until sync_timeout_ms.
+TEST(Recovery, AdoptedBarrierReleasesStragglerOnPollAnswer) {
+  const DsmConfig cfg = RecoveryConfig();
+  FaultyCluster trio(cfg);
+  // A release keeps its entry's header, sender field included, so the rule
+  // matches any sender.
+  trio.transports[0]->DropReceives(kAnyHost, MsgType::kBarrierRelease, 1);
+
+  Status st0, st1, st2;
+  uint64_t released_ns = 0;
+  std::thread straggler([&] {
+    st0 = trio.node(0).TryBarrier();
+    released_ns = MonotonicNowNs();
+  });
+  std::thread b1([&] { st1 = trio.node(1).TryBarrier(); });
+  std::thread b2([&] { st2 = trio.node(2).TryBarrier(); });
+  b1.join();
+  b2.join();
+  const uint64_t start = MonotonicNowNs();
+  while (trio.transports[0]->receives_dropped() == 0 &&
+         (MonotonicNowNs() - start) / 1000000 < kRecoverBudgetMs) {
+    ::usleep(1000);
+  }
+  const uint64_t dropped = trio.transports[0]->receives_dropped();
+
+  const uint64_t kill_ns = MonotonicNowNs();
+  trio.Kill(2);
+  straggler.join();
+  ASSERT_TRUE(st1.ok()) << st1.ToString();
+  ASSERT_TRUE(st2.ok()) << st2.ToString();
+  ASSERT_EQ(dropped, 1u) << "host 0's round-0 release was not dropped";
+  EXPECT_TRUE(st0.ok()) << st0.ToString();
+  EXPECT_LT((released_ns - kill_ns) / 1000000, cfg.sync_timeout_ms / 5)
+      << "the straggler waited for a quorum instead of the poll answer";
+  EXPECT_EQ(trio.node(0).shards_adopted(), 1u);
+  EXPECT_TRUE(trio.node(0).health().ok());
+  EXPECT_TRUE(trio.node(1).health().ok());
+}
+
 // ---- Metrics: the recovery counters are exported --------------------------
 
 TEST(Recovery, RecoveryCountersAppearInMetricsSnapshot) {
