@@ -1,20 +1,22 @@
 // Fault-service latency by delivery backend: end-to-end service time (fault
-// entry to access retry) for read faults and write faults, under the SIGSEGV
-// handler backend vs the userfaultfd poller backend, in one process.
+// entry to access retry) for read faults and write faults, under the
+// mprotect + SIGSEGV fallback vs the default userfaultfd + SIGBUS backend, in
+// one process.
 //
 // Workload: `hosts` hosts share `arrays` single-minipage int arrays. Each
 // round a rotating writer stores to every array (write faults: upgrade or
 // fetch-for-write, invalidating all other copies), then every host reads
 // every array back (read faults rebuilding the copysets). All faults are
-// real kernel faults through the application views — the numbers include
-// the delivery path the backend choice changes: signal frame setup + sigret
-// vs uffd queue read + ioctl wake.
+// real kernel faults through the application views, delivered as a signal
+// on the faulting thread under both backends — the numbers include what the
+// backend choice changes: mprotect (mmap lock taken for writing, VMA split
+// and merge) vs one userfaultfd pte operation (mmap lock taken shared).
 //
 // Reported per backend: p50/p99/mean of the read- and write-fault service
 // histograms merged across hosts, plus ranged protection calls per fault
-// (mv.prot_sets / faults) — the mprotect-coalescing figure of merit. The
-// userfaultfd section is skipped (with a note) on kernels without minor +
-// write-protect userfaultfd support.
+// (mv.prot_sets / faults) — the coalescing figure of merit. The userfaultfd
+// section is skipped (with a note) on kernels without the backend's
+// features.
 
 #include <cstdio>
 #include <string>
@@ -138,7 +140,7 @@ int main(int argc, char** argv) {
   if (FaultHandler::Instance().UffdSupported()) {
     Report(reporter, FaultBackend::kUserfaultfd);
   } else {
-    std::printf("  userfaultfd: kernel lacks minor+wp support; section skipped\n");
+    std::printf("  userfaultfd: kernel lacks the backend's features; section skipped\n");
   }
   reporter.Finish();
   return 0;

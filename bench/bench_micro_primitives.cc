@@ -2,8 +2,9 @@
 // control, MPT translation scaling, allocator throughput, diff costs by
 // size and dirtiness, address packing, the metrics layer's own overhead
 // (enabled vs disabled — the acceptance budget is <2% on fast paths), the
-// protection tax of yielding sibling threads, and the wait-slot reply
-// handoff, parked vs polling.
+// protection tax of yielding sibling threads and of concurrent protecting
+// threads under both fault backends, and the wait-slot reply handoff,
+// parked vs polling.
 // Complements the paper-table benches with statistically robust per-op
 // numbers.
 
@@ -26,6 +27,7 @@
 #include "src/multiview/minipage.h"
 #include "src/multiview/view_set.h"
 #include "src/net/message.h"
+#include "src/os/fault_handler.h"
 #include "src/os/page.h"
 
 namespace millipage {
@@ -47,17 +49,48 @@ void BM_SetProtection(benchmark::State& state) {
 }
 BENCHMARK(BM_SetProtection)->Arg(128)->Arg(4096)->Arg(16384);
 
-// The in-process protection tax: one 4 KB vpage toggled RW -> RO -> RW per
-// iteration while `arg` sibling threads loop on sched_yield(), the shape of a
-// cluster's pollers. Every host of an in-process cluster shares one mm, so
-// each downgrade's TLB shootdown reaches every vCPU a sibling runs on.
-void BM_SetProtectionSiblings(benchmark::State& state) {
-  auto vs = ViewSet::Create(64 * PageSize(), 8);
-  MP_CHECK(vs.ok());
+// Binds the view sets created next to `backend` (0 = sigsegv/mprotect,
+// 1 = userfaultfd). False, with the row skipped, when the kernel lacks it.
+// Rows that call it end with RestoreBackend(), so the rows that never choose
+// one keep measuring mprotect.
+bool UseBackend(benchmark::State& state, int64_t arg) {
+  const auto backend = static_cast<FaultBackend>(arg);
+  FaultHandler& fh = FaultHandler::Instance();
+  MP_CHECK_OK(fh.Install(backend));
+  if (fh.active_backend() != backend) {
+    state.SkipWithError("userfaultfd backend unavailable on this kernel");
+    return false;
+  }
+  return true;
+}
+
+void RestoreBackend() { MP_CHECK_OK(FaultHandler::Instance().Install(FaultBackend::kSigsegv)); }
+
+// One touched 4 KB vpage toggled RW -> RO -> RW per iteration.
+void ToggleLoop(benchmark::State& state, ViewSet& vs) {
   Minipage mp;
   mp.view = 1;
   mp.offset = 3 * PageSize();
   mp.length = PageSize();
+  MP_CHECK_OK(vs.SetProtection(mp, Protection::kReadWrite));
+  volatile std::byte* page = vs.AppAddr(mp.view, mp.offset);
+  for (auto _ : state) {
+    *page = std::byte{1};  // a live pte, as on a DSM page in use
+    MP_CHECK_OK(vs.SetProtection(mp, Protection::kReadOnly));
+    MP_CHECK_OK(vs.SetProtection(mp, Protection::kReadWrite));
+  }
+}
+
+// The in-process protection tax: the toggle while `siblings` threads loop
+// on sched_yield(), the shape of a cluster's pollers, under each backend.
+// Every host of an in-process cluster shares one mm, so each downgrade's
+// TLB shootdown reaches every vCPU a sibling runs on.
+void BM_SetProtectionSiblings(benchmark::State& state) {
+  if (!UseBackend(state, state.range(1))) {
+    return;
+  }
+  auto vs = ViewSet::Create(64 * PageSize(), 8);
+  MP_CHECK(vs.ok());
   std::atomic<bool> stop{false};
   std::vector<std::thread> siblings;
   for (int64_t i = 0; i < state.range(0); ++i) {
@@ -67,19 +100,37 @@ void BM_SetProtectionSiblings(benchmark::State& state) {
       }
     });
   }
-  MP_CHECK_OK((*vs)->SetProtection(mp, Protection::kReadWrite));
-  volatile std::byte* page = (*vs)->AppAddr(mp.view, mp.offset);
-  for (auto _ : state) {
-    *page = std::byte{1};  // a live pte, as on a DSM page in use
-    MP_CHECK_OK((*vs)->SetProtection(mp, Protection::kReadOnly));
-    MP_CHECK_OK((*vs)->SetProtection(mp, Protection::kReadWrite));
-  }
+  ToggleLoop(state, **vs);
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : siblings) {
     t.join();
   }
+  RestoreBackend();
 }
-BENCHMARK(BM_SetProtectionSiblings)->Arg(0)->Arg(3)->UseRealTime();
+BENCHMARK(BM_SetProtectionSiblings)
+    ->ArgsProduct({{0, 3}, {0, 1}})
+    ->ArgNames({"siblings", "uffd"})
+    ->UseRealTime();
+
+// Four threads toggling their own view sets at once, as the hosts of an
+// in-process cluster do. mprotect takes the process-wide mmap lock for
+// writing and splits a VMA, so the threads queue behind each other; the
+// userfaultfd pte operations take it shared.
+void BM_SetProtectionConcurrent(benchmark::State& state) {
+  if (!UseBackend(state, state.range(0))) {
+    return;
+  }
+  auto vs = ViewSet::Create(64 * PageSize(), 8);
+  MP_CHECK(vs.ok());
+  ToggleLoop(state, **vs);
+  RestoreBackend();
+}
+BENCHMARK(BM_SetProtectionConcurrent)
+    ->Arg(0)
+    ->Arg(1)
+    ->ArgName("uffd")
+    ->Threads(4)
+    ->UseRealTime();
 
 void BM_GetProtection(benchmark::State& state) {
   auto vs = ViewSet::Create(64 * PageSize(), 8);

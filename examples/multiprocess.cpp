@@ -1,6 +1,6 @@
 // Multi-process deployment example — the paper's actual shape: one OS
 // process per DSM host, connected by a SOCK_SEQPACKET mesh, each with its
-// own memory object and SIGSEGV handler. Minipage contents genuinely cross
+// own memory object and fault handler. Minipage contents genuinely cross
 // process boundaries through the privileged views.
 //
 // Host 0 publishes a message board; every host appends a line under a lock

@@ -4,7 +4,7 @@
 // views, and protections — the same protocol a multi-machine deployment
 // runs), allocates a shared counter and a shared array in fine-grain
 // minipages, and lets every host work on them with plain loads and stores.
-// First access to remote data takes a genuine SIGSEGV, the millipage
+// First access to remote data takes a genuine page fault, the millipage
 // protocol fetches the minipage, and the instruction retries — exactly the
 // mechanism of Itzkovitz & Schuster's OSDI '99 paper.
 //

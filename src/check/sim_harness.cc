@@ -86,7 +86,6 @@ class SimRun {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<Region> regions_;
   int fault_slot_ = -1;
-  bool uffd_mode_ = false;  // views actually bound to the uffd backend
 
   // Written by the host-0 worker during kAlloc, read by every worker after
   // the first barrier (the barrier's semaphores order the accesses).
@@ -128,8 +127,6 @@ Status SimRun::Setup() {
                                 vs.object_size(), node.get(), v});
     }
   }
-  uffd_mode_ = !nodes_.empty() &&
-               nodes_[0]->views().fault_backend() == FaultBackend::kUserfaultfd;
   fault_slot_ = FaultHandler::Instance().Register(&FaultTrampoline, this);
   if (fault_slot_ < 0) {
     return Status::Exhausted("no free fault-handler slots");
@@ -230,18 +227,12 @@ bool SimRun::ExecuteOp(uint16_t h, const SimOp& op, Status* failure) {
 bool SimRun::AccessCell(uint16_t h, uint32_t cell, bool is_write, Status* failure) {
   const GlobalAddr a = cell_addr_[cell];
   DsmNode& node = *nodes_[h];
-  if (workload_.kill_one_host || uffd_mode_) {
+  if (workload_.kill_one_host) {
     // With host death in play a fault can end in "minipage lost" — an error
-    // the SIGSEGV path cannot absorb (the access itself is unservable). Call
+    // the fault handler cannot absorb (the access itself is unservable). Call
     // the fault service explicitly first: on loss, skip the op without
     // recording an application event, so the coherence oracle never sees a
     // read of vanished data.
-    //
-    // Under the uffd backend the pre-fault is a determinism requirement: a
-    // worker blocked inside a kernel minor/WP fault never reaches a wait
-    // slot, so the driver could not tell "parked" from "wedged", and the
-    // poller thread would race the seeded scheduler. Pre-faulting keeps
-    // every pte present before the access, so no uffd event ever fires.
     const Protection p =
         node.views().GetVpageProtection(a.view, a.offset / PageSize());
     const bool sufficient =

@@ -64,13 +64,10 @@ struct SimWorkload {
   // unbatched runs of the same script must agree on every application-level
   // read and write.
   bool batch_coherence = true;
-  // Fault backend under test. kUserfaultfd runs the same scripts with the
-  // views wired to the uffd backend (falling back to sigsegv when the kernel
-  // lacks support); the harness then pre-faults every access through
-  // FaultService — a worker blocked inside a kernel fault is invisible to
-  // the quiescence detector, so the uffd event path must never be the one
-  // driving protocol progress in the deterministic sim.
-  FaultBackend backend = FaultBackend::kSigsegv;
+  // Fault backend under test (falls back to sigsegv when the kernel lacks
+  // userfaultfd support). Both deliver faults on the worker's own thread, so
+  // the scripts drive real kernel faults under either.
+  FaultBackend backend = FaultBackend::kUserfaultfd;
 };
 
 struct SimResult {

@@ -108,10 +108,12 @@ struct DsmConfig {
   TransportBackend transport_backend = TransportBackend::kSocket;
 
   // Fault-delivery backend for the application views (src/os/fault_handler.h).
-  // kUserfaultfd removes the signal frame + ucontext decode from every miss
-  // and the mprotect from every protection change; it silently falls back to
-  // kSigsegv when the kernel lacks UFFD minor+WP shmem support.
-  FaultBackend fault_backend = FaultBackend::kSigsegv;
+  // kUserfaultfd replaces every mprotect with one pte operation that takes
+  // the mmap lock shared and splits no VMA, so the hosts of one process stop
+  // queueing behind each other's protection changes; faults still arrive as
+  // a signal (SIGBUS) on the faulting thread. It silently falls back to
+  // kSigsegv when the kernel lacks the userfaultfd features.
+  FaultBackend fault_backend = FaultBackend::kUserfaultfd;
 
   // The paper's post-service ACK (Section 3.3) serializes every request per
   // minipage at the manager, which is what keeps the non-manager protocol

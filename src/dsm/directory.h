@@ -17,6 +17,7 @@
 #include "src/common/host_set.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
+#include "src/dsm/wait_slots.h"
 #include "src/multiview/minipage.h"
 #include "src/net/message.h"
 
@@ -108,6 +109,10 @@ struct DirEntry {
 struct LockEntry {
   bool held = false;
   HostId holder = 0;
+  // The holder's wait slot (WaitSlots::SeqSlot of its acquire): another
+  // thread of the holding host queues like any other host, while a re-sent
+  // acquire from the holding slot itself is re-granted.
+  uint32_t holder_slot = 0;
   std::deque<MsgHeader> waiters;
 
   // Adopted-lock holder probe: before the first grant after a failover, the
@@ -116,25 +121,16 @@ struct LockEntry {
   // Acquires queue in `waiters` while it is open.
   SurvivorPoll poll;
 
-  bool HasWaiter(HostId h) const {
-    for (const MsgHeader& w : waiters) {
-      // Queued waiters were stripped of their epoch tag at receive time, so
-      // `from` is a pure host id.
-      if (w.from == h) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   // Collapses a re-sent acquire into its queued predecessor, keeping the
-  // freshest header: a membership kick re-sends with a new (slot, generation)
-  // seq, and a grant built from the stale queued header would be discarded by
-  // the waiter as an abandoned attempt's reply — wedging the lock. Returns
-  // false if `h.from` was not queued (the caller pushes the header instead).
+  // freshest header: a membership kick re-sends with a new generation in the
+  // same slot, and a grant built from the stale queued header would be
+  // discarded by the waiter as an abandoned attempt's reply — wedging the
+  // lock. Returns false if (`h.from`, slot) was not queued (the caller pushes
+  // the header instead). Queued waiters were stripped of their epoch tag at
+  // receive time, so `from` is a pure host id.
   bool RefreshWaiter(const MsgHeader& h) {
     for (MsgHeader& w : waiters) {
-      if (w.from == h.from) {
+      if (w.from == h.from && WaitSlots::SeqSlot(w.seq) == WaitSlots::SeqSlot(h.seq)) {
         w = h;
         return true;
       }

@@ -21,10 +21,11 @@ namespace {
 // Per-thread (node -> wait slot) cache. A thread may talk to several nodes
 // in one process (the in-process cluster), so the cache is a tiny map.
 // Entries are keyed by a process-unique node id, not the pointer: a node at
-// a recycled address must not inherit a dead node's slot. Long-lived service
-// threads (the userfaultfd poller) touch every node the process ever
-// creates, so a full cache recycles entries round-robin instead of failing;
-// returning to an evicted node just acquires a fresh slot there.
+// a recycled address must not inherit a dead node's slot. A long-lived
+// thread (a test's main thread running RunOnManager on every cluster it
+// creates) can touch more nodes than fit, so a full cache recycles entries
+// round-robin instead of failing; returning to an evicted node just acquires
+// a fresh slot there.
 struct ThreadSlotCache {
   static constexpr int kMax = 16;
   uint64_t uid[kMax] = {};
@@ -335,7 +336,7 @@ Status DsmNode::TryLock(uint32_t lock_id) {
   }
   {
     std::lock_guard<std::mutex> lock(held_mu_);
-    held_locks_.insert(lock_id);
+    held_locks_[lock_id] = slot;
   }
   host_[&HostCounters::lock_acquires].Inc();
   return Status::Ok();
@@ -492,6 +493,9 @@ void DsmNode::PushToAll(GlobalAddr a) {
 // ---- Fault path ------------------------------------------------------------
 
 bool DsmNode::OnFault(uint32_t view, uint64_t offset, bool is_write) {
+  if (views_->RestoreFromShadow(view, offset, is_write)) {
+    return true;  // already granted here: retry the access, no protocol round
+  }
   return FaultService(view, offset, is_write).ok();
 }
 
@@ -1005,12 +1009,6 @@ bool DsmNode::MgrTranslate(MsgHeader* h) {
   const GlobalAddr a = h->global_addr();
   const Minipage* mp = mpt_->Lookup(a.view, a.offset);
   directory_->mpt_lookups().Inc();
-  if (mp == nullptr && a.offset % PageSize() == 0) {
-    // The userfaultfd backend reports fault addresses page-masked, so a
-    // fault on a vpage whose minipage starts mid-page misses the byte-exact
-    // lookup. The vpage holds at most one minipage, so this is unambiguous.
-    mp = mpt_->LookupVpage(a.view, a.offset);
-  }
   if (mp == nullptr) {
     MP_LOG(Fatal) << "fault at unmapped shared address view=" << a.view
                   << " offset=" << a.offset << " (wild pointer into a layout gap?)";
@@ -1553,10 +1551,12 @@ void DsmNode::MgrHandleLockAcquire(const MsgHeader& h) {
   if (!l.poll.done && AdoptedHere(h.minipage)) {
     StartLockProbe(h.minipage);
   }
-  if (l.poll.open || (l.held && l.holder != h.from)) {
-    // Queue behind the holder, or, while an adoption poll is open, until
-    // every live host has answered it (a grant issued by the dead shard must
-    // be honored, not doubled).
+  const bool holder = l.held && l.holder == h.from &&
+                      l.holder_slot == WaitSlots::SeqSlot(h.seq);
+  if (l.poll.open || (l.held && !holder)) {
+    // Queue behind the holder — another thread of the holding host too —
+    // or, while an adoption poll is open, until every live host has answered
+    // it (a grant issued by the dead shard must be honored, not doubled).
     if (!l.RefreshWaiter(h)) {
       l.waiters.push_back(h);
     }
@@ -1584,6 +1584,7 @@ void DsmNode::GrantLock(uint32_t lock_id, LockEntry& l, MsgHeader acquire) {
   if (!l.held) {
     l.held = true;
     l.holder = acquire.from;
+    l.holder_slot = WaitSlots::SeqSlot(acquire.seq);
     Trace(TraceEventKind::kLockGrant, lock_id, 0, acquire.from);
   }
   acquire.set_type(MsgType::kLockGrant);
@@ -1607,9 +1608,10 @@ void DsmNode::StartLockProbe(uint32_t lock_id) {
   // Our own held set answers for this host.
   {
     std::lock_guard<std::mutex> lock(held_mu_);
-    if (held_locks_.count(lock_id) != 0) {
+    if (auto it = held_locks_.find(lock_id); it != held_locks_.end()) {
       l.held = true;
       l.holder = me_;
+      l.holder_slot = it->second;
     }
   }
   MsgHeader probe;
@@ -1628,15 +1630,17 @@ void DsmNode::FinishLockProbe(uint32_t lock_id) {
 }
 
 void DsmNode::HandleLockProbe(const MsgHeader& h) {
-  bool held;
-  {
-    std::lock_guard<std::mutex> lock(held_mu_);
-    held = held_locks_.count(h.minipage) != 0;
-  }
   MsgHeader reply = h;
   reply.set_type(MsgType::kLockProbeReply);
   reply.from = me_;
-  reply.flags = held ? kFlagUpgrade : 0;
+  reply.flags = 0;
+  {
+    std::lock_guard<std::mutex> lock(held_mu_);
+    if (auto it = held_locks_.find(h.minipage); it != held_locks_.end()) {
+      reply.flags = kFlagUpgrade;
+      reply.pgsize = it->second;  // the holding thread's wait slot
+    }
+  }
   SendMsg(h.from, reply);
 }
 
@@ -1651,6 +1655,7 @@ void DsmNode::MgrHandleLockProbeReply(const MsgHeader& h) {
         << "two hosts claim lock " << h.minipage << " during adoption probe";
     l.held = true;
     l.holder = h.from;
+    l.holder_slot = h.pgsize;
   }
   if (step == PollStep::kClosed) {
     FinishLockProbe(h.minipage);

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -576,7 +577,9 @@ class DsmNode {
   mutable std::mutex member_mu_;
   std::condition_variable member_cv_;
   mutable std::mutex held_mu_;
-  std::set<uint32_t> held_locks_;  // locks this host currently holds (probe answers)
+  // Locks this host currently holds -> the holding thread's wait slot
+  // (probe answers).
+  std::map<uint32_t, uint32_t> held_locks_;
   mutable std::mutex lost_mu_;
   std::set<uint32_t> lost_minipages_;  // ids learned permanently lost
 

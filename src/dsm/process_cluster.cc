@@ -43,12 +43,10 @@ bool ChildFaultTrampoline(void* ctx, void* addr, bool is_write) {
     _exit(2);
   }
   Transport& transport = *mesh_transport.transport;
-  // Pin the backend BEFORE any view registers. Forked children must use the
-  // SIGSEGV backend even if the parent had userfaultfd active at fork time:
-  // the uffd descriptor survives the fork but the poller thread does not, so
-  // a view registered against the inherited mode would fault into a queue
-  // nobody drains.
-  MP_CHECK_OK(FaultHandler::Instance().Install(FaultBackend::kSigsegv));
+  // Pin the backend BEFORE any view registers. A descriptor inherited from
+  // the parent is bound to the parent's address space; Install opens this
+  // process's own.
+  MP_CHECK_OK(FaultHandler::Instance().Install(config.fault_backend));
   Result<std::unique_ptr<DsmNode>> node = DsmNode::Create(config, me, &transport);
   if (!node.ok()) {
     MP_LOG(Error) << "host " << me << ": " << node.status().ToString();

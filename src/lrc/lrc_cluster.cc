@@ -21,6 +21,9 @@ LrcNode* CurrentLrcNode() {
 
 Result<std::unique_ptr<LrcCluster>> LrcCluster::Create(const DsmConfig& config) {
   auto cluster = std::unique_ptr<LrcCluster>(new LrcCluster(config));
+  // Before any node exists: each ViewSet binds to the backend active at its
+  // creation (with runtime fallback to sigsegv).
+  MP_RETURN_IF_ERROR(FaultHandler::Instance().Install(config.fault_backend));
   cluster->transport_ = std::make_unique<InProcTransport>(config.num_hosts);
   for (uint16_t h = 0; h < config.num_hosts; ++h) {
     MP_ASSIGN_OR_RETURN(std::unique_ptr<LrcNode> node,
@@ -36,7 +39,6 @@ Result<std::unique_ptr<LrcCluster>> LrcCluster::Create(const DsmConfig& config) 
   }
   std::sort(cluster->regions_.begin(), cluster->regions_.end(),
             [](const Region& a, const Region& b) { return a.base < b.base; });
-  MP_RETURN_IF_ERROR(FaultHandler::Instance().Install());
   cluster->fault_slot_ = FaultHandler::Instance().Register(&FaultTrampoline, cluster.get());
   if (cluster->fault_slot_ < 0) {
     return Status::Exhausted("no free fault-handler slots");

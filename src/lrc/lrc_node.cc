@@ -141,6 +141,9 @@ void LrcNode::Unlock(uint32_t lock_id) {
 // ---- Fault path ----------------------------------------------------------------
 
 bool LrcNode::OnFault(uint32_t view, uint64_t offset, bool is_write) {
+  if (views_->RestoreFromShadow(view, offset, is_write)) {
+    return true;  // already granted here: retry the access
+  }
   stats_[is_write ? &LrcCounters::write_faults : &LrcCounters::read_faults].Inc();
   // Known minipage? (geometry cached from an earlier fetch/serve)
   Minipage geometry;

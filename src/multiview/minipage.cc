@@ -66,26 +66,4 @@ const Minipage* MinipageTable::Lookup(uint32_t view, uint64_t offset) const {
   return nullptr;
 }
 
-const Minipage* MinipageTable::LookupVpage(uint32_t view, uint64_t offset) const {
-  lookup_count_++;
-  if (view >= by_view_.size()) {
-    return nullptr;
-  }
-  const uint64_t vp_start = (offset / PageSize()) * PageSize();
-  const uint64_t vp_end = vp_start + PageSize();
-  const auto& index = by_view_[view];
-  // Last minipage starting before the end of the vpage; it is the only
-  // candidate that can intersect [vp_start, vp_end).
-  auto it = index.upper_bound(vp_end - 1);
-  if (it == index.begin()) {
-    return nullptr;
-  }
-  --it;
-  const Minipage& mp = pages_[it->second];
-  if (mp.end() > vp_start) {
-    return &mp;
-  }
-  return nullptr;
-}
-
 }  // namespace millipage

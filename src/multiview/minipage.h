@@ -55,13 +55,6 @@ class MinipageTable {
   // containing it, or nullptr.
   const Minipage* Lookup(uint32_t view, uint64_t offset) const;
 
-  // Translates to the unique minipage intersecting the vpage that contains
-  // `offset`, or nullptr. Unambiguous because the allocator never places two
-  // minipages of one view on the same vpage. Needed for fault sources that
-  // only report page-granular addresses (userfaultfd masks the low bits), so
-  // a fault on a vpage whose minipage starts mid-page still translates.
-  const Minipage* LookupVpage(uint32_t view, uint64_t offset) const;
-
   const Minipage& Get(MinipageId id) const { return pages_[id]; }
   size_t size() const { return pages_.size(); }
   bool empty() const { return pages_.empty(); }

@@ -1,7 +1,8 @@
 #include "src/multiview/view_set.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
-#include <cstring>
 
 #include "src/common/failpoint.h"
 
@@ -18,24 +19,16 @@ Result<std::unique_ptr<ViewSet>> ViewSet::Create(size_t object_size, uint32_t nu
   vs->uffd_ = fh.active_backend() == FaultBackend::kUserfaultfd;
   MP_ASSIGN_OR_RETURN(vs->priv_view_,
                       Mapping::MapObject(vs->object_, 0, len, Protection::kReadWrite));
-  if (vs->uffd_) {
-    // Instantiate every object page in the page cache up front:
-    // UFFDIO_CONTINUE can only install ptes for pages that already exist
-    // there, and a fresh memfd is fully hole. The store is through the
-    // privileged view, so the zero-fill semantics are unchanged.
-    std::memset(vs->priv_view_.base(), 0, len);
-  }
   vs->app_views_.reserve(num_app_views);
   for (uint32_t v = 0; v < num_app_views; ++v) {
-    // uffd mode keeps the VMA PROT_READ|PROT_WRITE forever; "NoAccess" is a
-    // zapped pte (minor fault on touch) and "ReadOnly" a write-protect bit.
+    // uffd mode keeps the VMA PROT_READ|PROT_WRITE forever; a fresh mapping
+    // has no ptes, so it starts NoAccess with nothing to zap.
     MP_ASSIGN_OR_RETURN(
         Mapping m, Mapping::MapObject(vs->object_, 0, len,
                                       vs->uffd_ ? Protection::kReadWrite
                                                 : Protection::kNoAccess));
     if (vs->uffd_) {
       MP_RETURN_IF_ERROR(fh.UffdRegisterRange(m.base(), len));
-      MP_RETURN_IF_ERROR(fh.UffdZapRange(m.base(), len));  // start NoAccess
     }
     vs->app_views_.push_back(std::move(m));
   }
@@ -50,20 +43,6 @@ Result<std::unique_ptr<ViewSet>> ViewSet::Create(size_t object_size, uint32_t nu
   }
   vs->SetMetrics(&MetricsRegistry::Global());
   return vs;
-}
-
-ViewSet::~ViewSet() {
-  if (uffd_) {
-    FaultHandler& fh = FaultHandler::Instance();
-    for (Mapping& m : app_views_) {
-      if (m.valid()) {
-        // Unregister before munmap so no fault event can arrive for a range
-        // the resolver no longer claims. Best-effort: the munmap below
-        // removes the registration anyway.
-        (void)fh.UffdUnregisterRange(m.base(), m.length());
-      }
-    }
-  }
 }
 
 bool ViewSet::Resolve(const void* addr, uint32_t* view, uint64_t* offset) const {
@@ -81,33 +60,104 @@ bool ViewSet::Resolve(const void* addr, uint32_t* view, uint64_t* offset) const 
 
 Status ViewSet::ApplyProtection(uint32_t view, uint64_t first_vpage, uint64_t last_vpage,
                                 Protection prot) {
-  const size_t off = first_vpage * PageSize();
-  const size_t len = (last_vpage - first_vpage + 1) * PageSize();
+  const auto store_shadow = [&](uint64_t first, uint64_t last) {
+    for (uint64_t vp = first; vp <= last; ++vp) {
+      shadow_[view][vp].store(static_cast<uint8_t>(prot), std::memory_order_release);
+    }
+    prot_sets_->Inc();
+    prot_set_pages_->Inc(last - first + 1);
+  };
   if (!uffd_) {
-    return app_views_[view].Protect(off, len, prot);
+    const size_t len = (last_vpage - first_vpage + 1) * PageSize();
+    MP_RETURN_IF_ERROR(app_views_[view].Protect(first_vpage * PageSize(), len, prot));
+    store_shadow(first_vpage, last_vpage);
+    return Status::Ok();
   }
+  for (uint64_t first = first_vpage; first <= last_vpage;) {
+    const Protection from = GetVpageProtection(view, first);
+    uint64_t last = first;
+    while (last < last_vpage && GetVpageProtection(view, last + 1) == from) {
+      ++last;
+    }
+    if (from != prot) {
+      MP_RETURN_IF_ERROR(UffdTransition(view, first, last, from, prot));
+      store_shadow(first, last);
+    }
+    first = last + 1;
+  }
+  return Status::Ok();
+}
+
+Status ViewSet::UffdTransition(uint32_t view, uint64_t first, uint64_t last, Protection from,
+                               Protection to) {
   // Chaos-hook parity with Mapping::Protect: the injected-failure site fires
   // at the same points in the SetProtection call sequence in both modes.
   if (FailpointRegistry::Instance().Fire("os.mapping.protect")) {
     return Status::Exhausted("uffd protect: injected failure (os.mapping.protect)");
   }
   FaultHandler& fh = FaultHandler::Instance();
-  std::byte* base = app_views_[view].base() + off;
-  switch (prot) {
-    case Protection::kNoAccess:
-      return fh.UffdZapRange(base, len);
-    case Protection::kReadOnly:
-      return fh.UffdEnsureRange(base, len, /*write_protect=*/true);
-    case Protection::kReadWrite:
-      return fh.UffdEnsureRange(base, len, /*write_protect=*/false);
+  std::byte* base = AppAddr(view, first * PageSize());
+  const size_t len = (last - first + 1) * PageSize();
+  if (to == Protection::kNoAccess) {
+    return fh.UffdZapRange(base, len);
   }
-  return Status::Invalid("ApplyProtection: bad protection value");
+  if (from == Protection::kNoAccess) {
+    return UffdInstall(view, first, last, /*write_protect=*/to == Protection::kReadOnly,
+                       /*present_ok=*/false);
+  }
+  return fh.UffdWriteProtect(base, len, /*write_protect=*/to == Protection::kReadOnly);
+}
+
+Status ViewSet::UffdInstall(uint32_t view, uint64_t first, uint64_t last, bool write_protect,
+                            bool present_ok) {
+  FaultHandler& fh = FaultHandler::Instance();
+  const uint64_t off = first * PageSize();
+  const size_t len = (last - first + 1) * PageSize();
+  size_t done = 0;
+  for (;;) {
+    size_t mapped = 0;
+    const Status st = fh.UffdContinue(AppAddr(view, off + done), len - done, write_protect,
+                                      &mapped);
+    done += mapped;
+    if (st.ok() || (present_ok && st.code() == StatusCode::kAlreadyExists)) {
+      return Status::Ok();
+    }
+    if (st.code() != StatusCode::kNotFound) {
+      return st;
+    }
+    // A page-cache hole: the object fills lazily. Populate the rest of the
+    // range through the privileged view (no data changes, so it cannot race
+    // a server's store) and retry.
+    if (madvise(PrivAddr(off + done), len - done, MADV_POPULATE_WRITE) != 0) {
+      return Status::Errno("madvise(MADV_POPULATE_WRITE)");
+    }
+  }
+}
+
+bool ViewSet::RestoreFromShadow(uint32_t view, uint64_t offset, bool is_write) {
+  const uint64_t vpage = offset / PageSize();
+  const auto allows = [&] {
+    const Protection have = GetVpageProtection(view, vpage);
+    return is_write ? have == Protection::kReadWrite : have != Protection::kNoAccess;
+  };
+  if (!allows()) {
+    return false;
+  }
+  if (!uffd_) {
+    return true;  // mprotect precedes the shadow store: the pte allows it too
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!allows()) {
+    return false;  // a downgrade landed meanwhile: the protocol must run
+  }
+  // The pte is absent (reclaim) or was installed by a racing fault.
+  const bool read_only = GetVpageProtection(view, vpage) == Protection::kReadOnly;
+  return UffdInstall(view, vpage, vpage, read_only, /*present_ok=*/true).ok();
 }
 
 bool ViewSet::RangeAlreadyAt(const Minipage& mp, Protection prot) const {
   for (uint64_t vp = mp.first_vpage(); vp <= mp.last_vpage(); ++vp) {
-    if (static_cast<Protection>(shadow_[mp.view][vp].load(std::memory_order_acquire)) !=
-        prot) {
+    if (GetVpageProtection(mp.view, vp) != prot) {
       return false;
     }
   }
@@ -122,17 +172,11 @@ Status ViewSet::SetProtection(const Minipage& mp, Protection prot) {
   // (every change funnels through ApplyProtection), so a same-protection
   // call — a racing double fault, or a record a batched ranged call already
   // applied — costs no syscall.
+  std::lock_guard<std::mutex> lock(mu_);
   if (RangeAlreadyAt(mp, prot)) {
     return Status::Ok();
   }
-  const uint64_t first = mp.first_vpage();
-  const uint64_t last = mp.last_vpage();
-  MP_RETURN_IF_ERROR(ApplyProtection(mp.view, first, last, prot));
-  for (uint64_t vp = first; vp <= last; ++vp) {
-    shadow_[mp.view][vp].store(static_cast<uint8_t>(prot), std::memory_order_release);
-  }
-  prot_sets_->Inc();
-  prot_set_pages_->Inc(last - first + 1);
+  MP_RETURN_IF_ERROR(ApplyProtection(mp.view, mp.first_vpage(), mp.last_vpage(), prot));
   TraceProtSet(mp, prot);
   return Status::Ok();
 }
@@ -146,6 +190,7 @@ Status ViewSet::SetProtectionBatch(const Minipage* mps, size_t count, Protection
   }
   // Collect the minipages whose protection actually changes, sorted by
   // (view, first vpage) so contiguous runs are adjacent.
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<const Minipage*> todo;
   todo.reserve(count);
   for (size_t i = 0; i < count; ++i) {
@@ -166,16 +211,8 @@ Status ViewSet::SetProtectionBatch(const Minipage* mps, size_t count, Protection
     return a->first_vpage() < b->first_vpage();
   });
   // Merge touching/overlapping vpage ranges within a view and apply each
-  // merged run with ONE ranged protection call.
-  auto apply_run = [&](uint32_t view, uint64_t first, uint64_t last) -> Status {
-    MP_RETURN_IF_ERROR(ApplyProtection(view, first, last, prot));
-    for (uint64_t vp = first; vp <= last; ++vp) {
-      shadow_[view][vp].store(static_cast<uint8_t>(prot), std::memory_order_release);
-    }
-    prot_sets_->Inc();
-    prot_set_pages_->Inc(last - first + 1);
-    return Status::Ok();
-  };
+  // merged run with ONE ranged protection call (under uffd, one per run of
+  // equal prior protection).
   uint32_t run_view = todo[0]->view;
   uint64_t run_first = todo[0]->first_vpage();
   uint64_t run_last = todo[0]->last_vpage();
@@ -185,12 +222,12 @@ Status ViewSet::SetProtectionBatch(const Minipage* mps, size_t count, Protection
       run_last = std::max(run_last, mp.last_vpage());
       continue;
     }
-    MP_RETURN_IF_ERROR(apply_run(run_view, run_first, run_last));
+    MP_RETURN_IF_ERROR(ApplyProtection(run_view, run_first, run_last, prot));
     run_view = mp.view;
     run_first = mp.first_vpage();
     run_last = mp.last_vpage();
   }
-  MP_RETURN_IF_ERROR(apply_run(run_view, run_first, run_last));
+  MP_RETURN_IF_ERROR(ApplyProtection(run_view, run_first, run_last, prot));
   // Per-minipage trace events are preserved — the checker reasons about
   // minipages, not syscalls — in the deterministic sorted order.
   for (const Minipage* mp : todo) {
@@ -200,17 +237,13 @@ Status ViewSet::SetProtectionBatch(const Minipage* mps, size_t count, Protection
 }
 
 Protection ViewSet::GetProtection(const Minipage& mp) const {
-  return static_cast<Protection>(
-      shadow_[mp.view][mp.first_vpage()].load(std::memory_order_acquire));
+  return GetVpageProtection(mp.view, mp.first_vpage());
 }
 
 Status ViewSet::ProtectAllAppViews(Protection prot) {
-  const size_t vpages = vpages_per_view();
+  std::lock_guard<std::mutex> lock(mu_);
   for (uint32_t v = 0; v < app_views_.size(); ++v) {
-    MP_RETURN_IF_ERROR(ApplyProtection(v, 0, vpages - 1, prot));
-    for (size_t i = 0; i < vpages; ++i) {
-      shadow_[v][i].store(static_cast<uint8_t>(prot), std::memory_order_relaxed);
-    }
+    MP_RETURN_IF_ERROR(ApplyProtection(v, 0, vpages_per_view() - 1, prot));
   }
   return Status::Ok();
 }

@@ -4,10 +4,17 @@
 // updates and zero-copy sends/receives (Section 2.3.1 of the paper).
 //
 // Protection changes route through the fault backend that was active when
-// the set was created: mprotect under kSigsegv, or userfaultfd pte
-// operations (zap / continue / write-protect) under kUserfaultfd, where the
-// views stay PROT_READ|PROT_WRITE and the shadow table remains the single
-// source of truth either way.
+// the set was created: mprotect under kSigsegv, or one userfaultfd pte
+// operation per transition under kUserfaultfd, chosen from the shadow state:
+//
+//   NoAccess -> ReadOnly    UFFDIO_CONTINUE | MODE_WP (installs read-only)
+//   NoAccess -> ReadWrite   UFFDIO_CONTINUE
+//   ReadOnly <-> ReadWrite  UFFDIO_WRITEPROTECT
+//   any      -> NoAccess    MADV_DONTNEED
+//
+// Under uffd the views stay PROT_READ|PROT_WRITE, the page cache fills
+// lazily (a hole is populated through the privileged view when CONTINUE
+// meets it), and the shadow table is the single source of truth either way.
 
 #ifndef SRC_MULTIVIEW_VIEW_SET_H_
 #define SRC_MULTIVIEW_VIEW_SET_H_
@@ -15,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "src/common/metrics.h"
@@ -36,8 +44,6 @@ class ViewSet {
   // view (ReadWrite). The views are wired to whichever fault backend
   // FaultHandler::active_backend() reports at creation time.
   static Result<std::unique_ptr<ViewSet>> Create(size_t object_size, uint32_t num_app_views);
-
-  ~ViewSet();
 
   uint32_t num_app_views() const { return static_cast<uint32_t>(app_views_.size()); }
   size_t object_size() const { return object_.size(); }
@@ -86,10 +92,13 @@ class ViewSet {
     return static_cast<Protection>(shadow_[view][vpage].load(std::memory_order_acquire));
   }
 
-  // Fault backend this set was created under.
-  FaultBackend fault_backend() const {
-    return uffd_ ? FaultBackend::kUserfaultfd : FaultBackend::kSigsegv;
-  }
+  // Fault-path check, run before any protocol round: true when the shadow
+  // already grants this access — a racing fault that another thread
+  // resolved, or (under uffd) a pte that reclaim unmapped behind the shadow,
+  // which is re-installed from the shadow here. The caller retries the
+  // access; without this, the shadow fast-path in SetProtection would make
+  // the reclaimed pte's install a no-op and the access would fault forever.
+  bool RestoreFromShadow(uint32_t view, uint64_t offset, bool is_write);
 
   // Protects every vpage of every application view (bulk setup).
   Status ProtectAllAppViews(Protection prot);
@@ -114,10 +123,24 @@ class ViewSet {
  private:
   ViewSet() = default;
 
-  // One ranged protection change over [first_vpage, last_vpage] of `view`,
-  // routed to mprotect or the uffd pte operations by backend mode.
+  // One ranged protection change over [first_vpage, last_vpage] of `view`:
+  // a single mprotect under kSigsegv; under kUserfaultfd one pte operation
+  // per run of equal prior protection (the operation depends on it), and
+  // none for a run already at `prot`. Updates the shadow and the mv.*
+  // counters. The caller holds mu_.
   Status ApplyProtection(uint32_t view, uint64_t first_vpage, uint64_t last_vpage,
                          Protection prot);
+
+  // The uffd pte operation for vpages [first, last] of `view` going `from`
+  // -> `to` (the transition table above).
+  Status UffdTransition(uint32_t view, uint64_t first, uint64_t last, Protection from,
+                        Protection to);
+
+  // NoAccess -> ReadOnly/ReadWrite under uffd: UFFDIO_CONTINUE, populating
+  // a page-cache hole through the privileged view and retrying. `present_ok`
+  // accepts ptes that are already installed (the fault-path re-install).
+  Status UffdInstall(uint32_t view, uint64_t first, uint64_t last, bool write_protect,
+                     bool present_ok);
 
   // True if every vpage of the minipage already shows `prot` in the shadow.
   bool RangeAlreadyAt(const Minipage& mp, Protection prot) const;
@@ -136,8 +159,11 @@ class ViewSet {
   std::vector<Mapping> app_views_;
   Mapping priv_view_;
   bool uffd_ = false;
-  // Shadow protection, one byte per (view, vpage). Concurrent readers and
-  // the per-minipage-serialized writers use relaxed atomics.
+  // Serializes pte changes with their shadow updates, so the fault-path
+  // re-install never races a downgrade into a pte the shadow denies.
+  std::mutex mu_;
+  // Shadow protection, one byte per (view, vpage). Lock-free readers; the
+  // writers hold mu_.
   std::vector<std::unique_ptr<std::atomic<uint8_t>[]>> shadow_;
 
   TraceSink* trace_ = nullptr;

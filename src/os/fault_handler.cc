@@ -3,9 +3,8 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <linux/userfaultfd.h>
-#include <stdlib.h>
-#include <poll.h>
 #include <signal.h>
+#include <stdlib.h>
 #include <string.h>
 #include <sys/ioctl.h>
 #include <sys/mman.h>
@@ -14,7 +13,6 @@
 #include <unistd.h>
 
 #include <mutex>
-#include <thread>
 
 #include "src/os/page.h"
 
@@ -36,12 +34,32 @@ bool FaultWasWrite(void* ucontext_raw) {
 #endif
 }
 
-// The userfaultfd features the DSM backend needs: minor faults on shmem (our
-// "NoAccess" is a zapped pte over a live page-cache page), write-protect
-// fault delivery, and WP support on shmem-backed VMAs.
-constexpr uint64_t kRequiredUffdFeatures = UFFD_FEATURE_MINOR_SHMEM |
-                                           UFFD_FEATURE_PAGEFAULT_FLAG_WP |
-                                           UFFD_FEATURE_WP_HUGETLBFS_SHMEM;
+// The userfaultfd features the DSM backend needs: missing and minor faults on
+// shmem (our "NoAccess" is an absent pte over a page-cache page or hole),
+// write-protect faults on shmem-backed VMAs, and delivery of every fault as
+// SIGBUS on the faulting thread instead of as a queued message.
+constexpr uint64_t kRequiredUffdFeatures =
+    UFFD_FEATURE_MISSING_SHMEM | UFFD_FEATURE_MINOR_SHMEM | UFFD_FEATURE_PAGEFAULT_FLAG_WP |
+    UFFD_FEATURE_WP_HUGETLBFS_SHMEM | UFFD_FEATURE_SIGBUS;
+
+// Installs the pte write-protected in the same ioctl (Linux 6.3+); older
+// headers lack the constant, and older kernels reject the mode (probed at
+// bring-up).
+#ifndef UFFDIO_CONTINUE_MODE_WP
+#define UFFDIO_CONTINUE_MODE_WP ((__u64)1 << 1)
+#endif
+
+// True if this kernel accepts UFFDIO_CONTINUE_MODE_WP. The probe targets an
+// address no VMA covers: a kernel that knows the mode gets as far as the VMA
+// lookup (ENOENT), an older one rejects the mode first (EINVAL).
+bool ContinueWpSupported(int fd) {
+  struct uffdio_continue cont;
+  memset(&cont, 0, sizeof(cont));
+  cont.range.start = PageSize();  // below mmap_min_addr: never mapped
+  cont.range.len = PageSize();
+  cont.mode = UFFDIO_CONTINUE_MODE_WP;
+  return ioctl(fd, UFFDIO_CONTINUE, &cont) != 0 && errno == ENOENT;
+}
 
 }  // namespace
 
@@ -51,10 +69,10 @@ const char* FaultBackendName(FaultBackend backend) {
 
 FaultBackend FaultBackendFromEnv() {
   const char* env = getenv("MILLIPAGE_FAULT_BACKEND");
-  if (env != nullptr && (strcmp(env, "uffd") == 0 || strcmp(env, "userfaultfd") == 0)) {
-    return FaultBackend::kUserfaultfd;
+  if (env != nullptr && strcmp(env, "sigsegv") == 0) {
+    return FaultBackend::kSigsegv;
   }
-  return FaultBackend::kSigsegv;
+  return FaultBackend::kUserfaultfd;
 }
 
 FaultHandler& FaultHandler::Instance() {
@@ -95,15 +113,16 @@ Status FaultHandler::InstallSigaction() {
 }
 
 Status FaultHandler::Install(FaultBackend requested) {
-  // The SIGSEGV handler is installed in both modes: it covers mprotect'd
-  // anonymous mappings, wild accesses, and every view created while the
-  // sigsegv backend was (or becomes) active.
+  // The SIGSEGV/SIGBUS handler is installed in both modes: it receives the
+  // userfaultfd backend's SIGBUS faults, and covers mprotect'd anonymous
+  // mappings, wild accesses, and every view created while the sigsegv
+  // backend was (or becomes) active.
   MP_RETURN_IF_ERROR(InstallSigaction());
   if (requested == FaultBackend::kUserfaultfd && EnsureUffd().ok()) {
     active_backend_.store(FaultBackend::kUserfaultfd, std::memory_order_release);
   } else {
-    // Runtime fallback: the caller asked for uffd but this kernel can't do
-    // minor+WP on shmem (or the caller asked for sigsegv). Either way the
+    // Runtime fallback: the caller asked for uffd but this kernel lacks a
+    // required feature (or the caller asked for sigsegv). Either way the
     // sigsegv backend serves every subsequent view registration.
     active_backend_.store(FaultBackend::kSigsegv, std::memory_order_release);
   }
@@ -116,18 +135,24 @@ Status FaultHandler::EnsureUffd() {
   static std::mutex mu;
   std::lock_guard<std::mutex> lock(mu);
   const int state = uffd_state_.load(std::memory_order_acquire);
-  if (state > 0) {
+  const pid_t pid = getpid();
+  if (state > 0 && uffd_pid_ == pid) {
     return Status::Ok();
   }
   if (state < 0) {
     return Status::Unavailable("userfaultfd backend unavailable on this kernel");
   }
+  if (state > 0) {
+    // Inherited across fork: the descriptor still operates on the parent's
+    // address space. Drop this process's reference and open its own.
+    close(uffd_fd_);
+    uffd_fd_ = -1;
+  }
   // UFFD_USER_MODE_ONLY first (works unprivileged when
   // vm.unprivileged_userfaultfd=0); kernel-fault delivery is not needed.
-  int fd = static_cast<int>(
-      syscall(SYS_userfaultfd, O_CLOEXEC | O_NONBLOCK | UFFD_USER_MODE_ONLY));
+  int fd = static_cast<int>(syscall(SYS_userfaultfd, O_CLOEXEC | UFFD_USER_MODE_ONLY));
   if (fd < 0) {
-    fd = static_cast<int>(syscall(SYS_userfaultfd, O_CLOEXEC | O_NONBLOCK));
+    fd = static_cast<int>(syscall(SYS_userfaultfd, O_CLOEXEC));
   }
   Status failed = Status::Ok();
   if (fd < 0) {
@@ -137,13 +162,12 @@ Status FaultHandler::EnsureUffd() {
     memset(&api, 0, sizeof(api));
     api.api = UFFD_API;
     api.features = kRequiredUffdFeatures;
-#ifdef UFFD_FEATURE_WP_UNPOPULATED
-    api.features |= UFFD_FEATURE_WP_UNPOPULATED;
-#endif
     if (ioctl(fd, UFFDIO_API, &api) != 0) {
       failed = Status::Errno("UFFDIO_API");
     } else if ((api.features & kRequiredUffdFeatures) != kRequiredUffdFeatures) {
-      failed = Status::Unavailable("kernel lacks UFFD minor+WP shmem features");
+      failed = Status::Unavailable("kernel lacks UFFD missing/minor/WP shmem or SIGBUS");
+    } else if (!ContinueWpSupported(fd)) {
+      failed = Status::Unavailable("kernel lacks UFFDIO_CONTINUE_MODE_WP");
     }
   }
   if (!failed.ok()) {
@@ -154,10 +178,7 @@ Status FaultHandler::EnsureUffd() {
     return failed;
   }
   uffd_fd_ = fd;
-  // The poller owns fault delivery for every uffd-registered view for the
-  // rest of the process lifetime; detach it like the signal handler is
-  // "detached" — there is no orderly teardown for fault dispatch.
-  std::thread([this] { PollerLoop(); }).detach();
+  uffd_pid_ = pid;
   uffd_state_.store(1, std::memory_order_release);
   return Status::Ok();
 }
@@ -183,29 +204,19 @@ void FaultHandler::Unregister(int slot) {
 // ---- userfaultfd range operations ------------------------------------------
 
 Status FaultHandler::UffdRegisterRange(void* base, size_t len) {
-  if (uffd_state_.load(std::memory_order_acquire) <= 0) {
+  // Re-checks the owning process: a view registered through a descriptor
+  // inherited across fork would land in the parent's address space.
+  if (!EnsureUffd().ok()) {
     return Status::Internal("uffd backend not installed");
   }
   struct uffdio_register reg;
   memset(&reg, 0, sizeof(reg));
   reg.range.start = reinterpret_cast<unsigned long>(base);
   reg.range.len = len;
-  reg.mode = UFFDIO_REGISTER_MODE_MINOR | UFFDIO_REGISTER_MODE_WP;
+  reg.mode = UFFDIO_REGISTER_MODE_MISSING | UFFDIO_REGISTER_MODE_MINOR |
+             UFFDIO_REGISTER_MODE_WP;
   if (ioctl(uffd_fd_, UFFDIO_REGISTER, &reg) != 0) {
     return Status::Errno("UFFDIO_REGISTER");
-  }
-  return Status::Ok();
-}
-
-Status FaultHandler::UffdUnregisterRange(void* base, size_t len) {
-  if (uffd_state_.load(std::memory_order_acquire) <= 0) {
-    return Status::Internal("uffd backend not installed");
-  }
-  struct uffdio_range range;
-  range.start = reinterpret_cast<unsigned long>(base);
-  range.len = len;
-  if (ioctl(uffd_fd_, UFFDIO_UNREGISTER, &range) != 0) {
-    return Status::Errno("UFFDIO_UNREGISTER");
   }
   return Status::Ok();
 }
@@ -215,55 +226,53 @@ Status FaultHandler::UffdZapRange(void* base, size_t len) {
     return Status::Internal("uffd backend not installed");
   }
   // MADV_DONTNEED on a MAP_SHARED view drops only this mapping's ptes; the
-  // shmem pages (and the privileged view) are untouched. The next access
-  // from this view raises a minor fault.
+  // shmem pages (and the privileged view) are untouched.
   if (madvise(base, len, MADV_DONTNEED) != 0) {
     return Status::Errno("madvise(MADV_DONTNEED)");
   }
   return Status::Ok();
 }
 
-Status FaultHandler::UffdEnsureRange(void* base, size_t len, bool write_protect) {
+Status FaultHandler::UffdContinue(void* base, size_t len, bool write_protect, size_t* mapped) {
+  *mapped = 0;
   if (uffd_state_.load(std::memory_order_acquire) <= 0) {
     return Status::Internal("uffd backend not installed");
   }
-  // Materialize ptes from the page cache over the whole range in one ioctl
-  // per contiguous absent run; EEXIST marks an already-present page, which
-  // the trailing UFFDIO_WRITEPROTECT fixes up along with everything else.
-  //
-  // MODE_DONTWAKE is load-bearing: CONTINUE installs a *writable* pte, and
-  // waking the faulting thread here lets its store land before the WP pass
-  // below — a silent write on what the protocol believes is a read-only
-  // copy, i.e. a lost update. The thread must stay parked until the final
-  // protection is in place; UFFDIO_WRITEPROTECT wakes the range by default.
-  const size_t page = PageSize();
-  uintptr_t start = reinterpret_cast<uintptr_t>(base);
-  const uintptr_t end = start + len;
-  while (start < end) {
+  const uintptr_t start = reinterpret_cast<uintptr_t>(base);
+  for (;;) {
     struct uffdio_continue cont;
     memset(&cont, 0, sizeof(cont));
-    cont.range.start = start;
-    cont.range.len = end - start;
-    cont.mode = UFFDIO_CONTINUE_MODE_DONTWAKE;
+    cont.range.start = start + *mapped;
+    cont.range.len = len - *mapped;
+    // MODE_WP installs the pte read-only in the same step, so a thread
+    // spinning on the page never sees a writable window.
+    cont.mode = write_protect ? UFFDIO_CONTINUE_MODE_WP : 0;
     if (ioctl(uffd_fd_, UFFDIO_CONTINUE, &cont) == 0) {
-      break;
+      *mapped = len;
+      return Status::Ok();
     }
+    const int err = errno;
     if (cont.mapped > 0) {
-      start += static_cast<uintptr_t>(cont.mapped);
+      *mapped += static_cast<size_t>(cont.mapped);
     }
-    if (errno == EEXIST) {
-      start += page;  // pte already present; WP pass below covers it
-      continue;
+    switch (err) {
+      case EAGAIN:  // raced an mmap change; the rest of the range retries
+        continue;
+      case EFAULT:
+        return Status::NotFound("UFFDIO_CONTINUE: page-cache hole");
+      case EEXIST:
+        return Status(StatusCode::kAlreadyExists, "UFFDIO_CONTINUE: pte present");
+      default:
+        errno = err;
+        return Status::Errno("UFFDIO_CONTINUE");
     }
-    if (errno == EAGAIN) {
-      continue;
-    }
-    return Status::Errno("UFFDIO_CONTINUE");
   }
-  // One WP ioctl over the full range sets the final read-only/read-write
-  // state — it covers pages that were already present (EEXIST above) and
-  // the ones CONTINUE just installed writable — and only then wakes any
-  // threads parked on the range.
+}
+
+Status FaultHandler::UffdWriteProtect(void* base, size_t len, bool write_protect) {
+  if (uffd_state_.load(std::memory_order_acquire) <= 0) {
+    return Status::Internal("uffd backend not installed");
+  }
   struct uffdio_writeprotect wp;
   memset(&wp, 0, sizeof(wp));
   wp.range.start = reinterpret_cast<unsigned long>(base);
@@ -277,18 +286,11 @@ Status FaultHandler::UffdEnsureRange(void* base, size_t len, bool write_protect)
 
 namespace {
 
-// Recursion depth of fault service on this thread. With the sigsegv backend
-// the whole protocol legitimately runs at depth 1 (inside the SIGSEGV
-// handler); a fault raised at depth >= 1 means the handler itself faulted
-// and must not be dispatched again.
+// Recursion depth of fault service on this thread. The whole protocol
+// legitimately runs at depth 1 (inside the SIGSEGV/SIGBUS handler); a fault
+// raised at depth >= 1 means the handler itself faulted and must not be
+// dispatched again.
 thread_local int tls_fault_depth = 0;
-
-// Set for the lifetime of the userfaultfd poller thread. A SIGSEGV-class
-// fault on that thread can never be serviced (the protocol it would need is
-// already running — or blocked — on this very thread), and a uffd-class
-// fault would deadlock silently against the event queue it is supposed to
-// drain; reject it loudly instead.
-thread_local bool tls_uffd_poller = false;
 
 // Async-signal-safe report before the process dies. `msg` names the class
 // of failure ("unhandled fault" / "nested fault").
@@ -330,15 +332,6 @@ void FaultHandler::SignalEntry(int signo, void* info_raw, void* ucontext) {
   if (timed) {
     fh.decode_ns_->RecordAlways(MonotonicNowNs() - t0);
   }
-  if (tls_uffd_poller) {
-    // The uffd poller thread faulted — either inside a callback it was
-    // dispatching or in its own loop. Servicing would re-enter the protocol
-    // that is already live on this thread; reject and die.
-    ReportFatalFault("nested fault on uffd poller (", addr, is_write);
-    signal(signo, SIG_DFL);
-    raise(signo);
-    return;
-  }
   if (tls_fault_depth >= 1) {
     // The handler (or protocol code it called) faulted while already
     // servicing a fault on this thread. Dispatching again could recurse
@@ -362,66 +355,6 @@ void FaultHandler::SignalEntry(int signo, void* info_raw, void* ucontext) {
   ReportFatalFault("unhandled fault (", addr, is_write);
   signal(signo, SIG_DFL);
   raise(signo);
-}
-
-void FaultHandler::PollerLoop() {
-  tls_uffd_poller = true;
-  const size_t page = PageSize();
-  for (;;) {
-    struct pollfd pfd;
-    pfd.fd = uffd_fd_;
-    pfd.events = POLLIN;
-    const int prc = poll(&pfd, 1, -1);
-    if (prc <= 0) {
-      if (prc < 0 && errno == EINTR) {
-        continue;
-      }
-      ReportFatalFault("uffd poll failed (", nullptr, false);
-      abort();
-    }
-    struct uffd_msg msg;
-    const ssize_t n = read(uffd_fd_, &msg, sizeof(msg));
-    if (n != static_cast<ssize_t>(sizeof(msg))) {
-      if (n < 0 && (errno == EAGAIN || errno == EINTR)) {
-        continue;
-      }
-      ReportFatalFault("uffd read failed (", nullptr, false);
-      abort();
-    }
-    if (msg.event != UFFD_EVENT_PAGEFAULT) {
-      continue;  // fork/remap/unmap events are not subscribed
-    }
-    const bool timed = MetricsEnabled() && service_ns_ != nullptr;
-    const uint64_t t0 = timed ? MonotonicNowNs() : 0;
-    void* addr = reinterpret_cast<void*>(msg.arg.pagefault.address & ~(page - 1));
-    const bool is_write = (msg.arg.pagefault.flags & UFFD_PAGEFAULT_FLAG_WRITE) != 0;
-    if (timed) {
-      decode_ns_->RecordAlways(MonotonicNowNs() - t0);
-    }
-    // The callback runs the full protocol on this thread. tls_fault_depth
-    // keeps the sigsegv-side guard armed: if the protocol SIGSEGVs here, the
-    // signal path above reports a nested fault instead of re-dispatching.
-    tls_fault_depth++;
-    const bool handled = Dispatch(addr, is_write);
-    tls_fault_depth--;
-    if (!handled) {
-      ReportFatalFault("unhandled fault (", addr, is_write);
-      signal(SIGSEGV, SIG_DFL);
-      raise(SIGSEGV);
-      return;
-    }
-    if (timed) {
-      service_ns_->RecordAlways(MonotonicNowNs() - t0);
-    }
-    // The protection upgrade itself (UFFDIO_CONTINUE / WRITEPROTECT) wakes
-    // waiters in the range; the explicit wake covers callbacks that resolved
-    // the fault without touching this page's ptes (e.g. a racing fault that
-    // another thread already serviced).
-    struct uffdio_range wake;
-    wake.start = reinterpret_cast<unsigned long>(addr);
-    wake.len = page;
-    (void)ioctl(uffd_fd_, UFFDIO_WAKE, &wake);
-  }
 }
 
 bool FaultHandler::Dispatch(void* fault_addr, bool is_write) {

@@ -7,28 +7,30 @@
 // retried. Unhandled faults fall through to the default disposition (crash
 // with a core), so genuine wild accesses still fail fast.
 //
-// Two backends share the callback registry:
+// Two backends share the callback registry, and both run the protocol on the
+// faulting thread, inside the signal frame:
 //
-//   kSigsegv      the original SIGSEGV/SIGBUS sigaction. Views are mprotect'd
-//                 and the protocol runs inside the signal frame on the
-//                 faulting thread.
-//   kUserfaultfd  userfaultfd(2) in MINOR+WP mode on the shared memory
-//                 object. Views stay PROT_READ|PROT_WRITE; "NoAccess" zaps
-//                 the view's ptes (MADV_DONTNEED -> minor fault on next
-//                 touch) and "ReadOnly" write-protects them, so faults are
-//                 delivered as messages to a poller thread — no signal frame,
-//                 no handler-reentrancy hazard — while the faulting thread
-//                 sleeps in the kernel until the protocol wakes it.
+//   kUserfaultfd  the default. userfaultfd(2) in MISSING+MINOR+WP mode on the
+//                 shared memory object, with UFFD_FEATURE_SIGBUS: the kernel
+//                 raises SIGBUS on the faulting thread instead of queueing a
+//                 message, carrying the byte-exact address and the x86 W bit
+//                 just as SIGSEGV does. Views stay PROT_READ|PROT_WRITE;
+//                 "NoAccess" is an absent pte, "ReadOnly" a write-protected
+//                 one. These pte operations take the mmap lock shared and
+//                 never split a VMA, so hosts of one process change
+//                 protections concurrently instead of queueing on the lock.
+//   kSigsegv      the runtime fallback for kernels without the features:
+//                 views are mprotect'd and faults arrive as SIGSEGV.
 //
 // The backend is a process-wide *mode* for new view registrations, not an
-// either/or: the SIGSEGV handler is always installed (it still covers
-// mprotect'd anonymous mappings, use-after-unmap, and the fallback path), and
-// the poller only exists once a userfaultfd registration succeeded. Install()
-// falls back to kSigsegv at runtime when the kernel lacks minor-fault or
-// write-protect support for shmem.
+// either/or: the SIGSEGV/SIGBUS handler is always installed (it also covers
+// mprotect'd anonymous mappings and use-after-unmap). Install() falls back to
+// kSigsegv at runtime when the kernel lacks any required feature.
 
 #ifndef SRC_OS_FAULT_HANDLER_H_
 #define SRC_OS_FAULT_HANDLER_H_
+
+#include <sys/types.h>
 
 #include <atomic>
 #include <cstddef>
@@ -45,15 +47,15 @@ using FaultCallback = bool (*)(void* ctx, void* fault_addr, bool is_write);
 // Fault-delivery backend for application views (DsmConfig::fault_backend).
 enum class FaultBackend : uint8_t {
   kSigsegv = 0,      // mprotect + SIGSEGV (always available)
-  kUserfaultfd = 1,  // userfaultfd MINOR+WP (needs kernel support; else falls back)
+  kUserfaultfd = 1,  // userfaultfd pte ops + SIGBUS (needs kernel support; else falls back)
 };
 
 const char* FaultBackendName(FaultBackend backend);
 
 // Backend requested by the MILLIPAGE_FAULT_BACKEND environment variable
-// ("uffd"/"userfaultfd" selects kUserfaultfd; anything else, including unset,
-// is kSigsegv). The CI backend matrix re-runs whole test suites with this
-// set, mirroring MILLIPAGE_MANAGER_POLICY.
+// ("sigsegv" selects the mprotect fallback; anything else, including unset,
+// is the kUserfaultfd default). The CI backend matrix re-runs whole test
+// suites with it set, mirroring MILLIPAGE_MANAGER_POLICY.
 FaultBackend FaultBackendFromEnv();
 
 class FaultHandler {
@@ -63,11 +65,11 @@ class FaultHandler {
   static FaultHandler& Instance();
 
   // Installs the SIGSEGV/SIGBUS sigaction (always) and, when `requested` is
-  // kUserfaultfd, brings up the userfaultfd + poller thread on first use.
-  // Idempotent and thread-safe; sets the active backend for view sets
-  // created afterwards. Falls back to kSigsegv (and still returns Ok) when
-  // the kernel lacks UFFD minor/write-protect support — check
-  // active_backend() to see what actually took effect.
+  // kUserfaultfd, opens this process's userfaultfd on first use. Idempotent
+  // and thread-safe; sets the active backend for view sets created
+  // afterwards. Falls back to kSigsegv (and still returns Ok) when the kernel
+  // lacks a required userfaultfd feature — check active_backend() to see
+  // what actually took effect.
   Status Install(FaultBackend requested = FaultBackend::kSigsegv);
 
   // The backend new view registrations will use.
@@ -87,19 +89,25 @@ class FaultHandler {
   // All require a successful Install(kUserfaultfd); they return Internal
   // status otherwise. `base`/`len` must be page-aligned.
 
-  // Registers [base, base+len) for MINOR+WP fault delivery to the poller.
+  // Registers [base, base+len) for MISSING+MINOR+WP faults, delivered as
+  // SIGBUS. MISSING matters: without it a touch on a page-cache hole maps a
+  // fresh zero page silently instead of faulting. munmap unregisters.
   Status UffdRegisterRange(void* base, size_t len);
-  Status UffdUnregisterRange(void* base, size_t len);
 
-  // "NoAccess": zaps the range's ptes so the next touch minor-faults. The
-  // backing page-cache pages (and hence the data) survive.
+  // "NoAccess": zaps the range's ptes so the next touch faults. The backing
+  // page-cache pages (and hence the data) survive.
   Status UffdZapRange(void* base, size_t len);
 
-  // "ReadOnly"/"ReadWrite": materializes ptes for the whole range from the
-  // page cache (UFFDIO_CONTINUE) and sets the write-protect bit on or off.
-  // The backing pages must already exist in the page cache (ViewSet
-  // instantiates the object through the privileged view at creation).
-  Status UffdEnsureRange(void* base, size_t len, bool write_protect);
+  // NoAccess -> ReadOnly/ReadWrite: installs ptes for the absent range from
+  // the page cache (UFFDIO_CONTINUE), write-protected in the same step when
+  // `write_protect`. *mapped is set to the bytes installed before a failure.
+  // Returns kNotFound at a page-cache hole (the caller populates it and
+  // retries) and kAlreadyExists at an already-present pte.
+  Status UffdContinue(void* base, size_t len, bool write_protect, size_t* mapped);
+
+  // ReadOnly <-> ReadWrite: sets or clears the write-protect bit of the
+  // range's present ptes.
+  Status UffdWriteProtect(void* base, size_t len, bool write_protect);
 
   uint64_t faults_dispatched() const {
     return faults_dispatched_.load(std::memory_order_relaxed);
@@ -115,10 +123,9 @@ class FaultHandler {
   bool Dispatch(void* fault_addr, bool is_write);
 
   Status InstallSigaction();
-  // One-time userfaultfd bring-up (fd + API handshake + poller thread).
-  // Returns Ok if the uffd backend is usable.
+  // One-time userfaultfd bring-up per process (fd + API handshake + the
+  // CONTINUE_MODE_WP probe). Returns Ok if the uffd backend is usable.
   Status EnsureUffd();
-  void PollerLoop();
 
   struct Slot {
     std::atomic<FaultCallback> cb{nullptr};
@@ -130,9 +137,12 @@ class FaultHandler {
   std::atomic<uint64_t> faults_dispatched_{0};
   std::atomic<FaultBackend> active_backend_{FaultBackend::kSigsegv};
 
-  // uffd state: fixed after the one-time bring-up attempt.
+  // uffd state: fixed after the bring-up attempt. A descriptor is bound to
+  // the address space that opened it, so a forked child (getpid() !=
+  // uffd_pid_) closes the inherited one and opens its own.
   std::atomic<int> uffd_state_{0};  // 0 = untried, 1 = available, -1 = unavailable
   int uffd_fd_ = -1;
+  pid_t uffd_pid_ = 0;
 
   // Registered in Install() (before the sigaction goes live) so SignalEntry
   // only ever touches stable pointers — no registry locking in the handler.

@@ -26,8 +26,8 @@ DsmConfig Cfg(ManagerPolicy policy) {
   cfg.object_size = 1 << 20;
   cfg.num_views = 8;
   cfg.manager_policy = policy;
-  // MILLIPAGE_FAULT_BACKEND=uffd re-runs the suite with views wired to the
-  // userfaultfd backend (falls back to sigsegv on old kernels).
+  // MILLIPAGE_FAULT_BACKEND=sigsegv re-runs the suite on the mprotect
+  // fallback (unset is the userfaultfd default).
   cfg.fault_backend = FaultBackendFromEnv();
   return cfg;
 }

@@ -1,4 +1,4 @@
-// End-to-end smoke tests for the millipage DSM: genuine SIGSEGV faults,
+// End-to-end smoke tests for the millipage DSM: genuine page faults,
 // manager protocol, sequential consistency on an in-process cluster.
 
 #include <gtest/gtest.h>

@@ -46,8 +46,8 @@ TEST_P(DsmSweep, RotatingOwnershipIntegrity) {
   cfg.num_views = p.views;
   cfg.chunking_level = p.chunking;
   cfg.page_based = p.page_based;
-  // MILLIPAGE_FAULT_BACKEND=uffd re-runs the sweep grid with the views wired
-  // to the userfaultfd backend (the CI backend matrix sets it).
+  // MILLIPAGE_FAULT_BACKEND=sigsegv re-runs the sweep grid on the mprotect
+  // fallback (the CI backend matrix sets it).
   cfg.fault_backend = FaultBackendFromEnv();
   auto cluster = DsmCluster::Create(cfg);
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();

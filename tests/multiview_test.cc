@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <csetjmp>
 #include <csignal>
 #include <map>
@@ -17,6 +18,7 @@
 #include "src/multiview/minipage.h"
 #include "src/multiview/static_layout.h"
 #include "src/multiview/view_set.h"
+#include "src/os/fault_handler.h"
 #include "src/os/page.h"
 
 namespace millipage {
@@ -443,6 +445,72 @@ TEST(ViewSetTest, ContiguousBatchCoalescesToOneRangedCall) {
     EXPECT_EQ((*vs)->GetProtection(mps[i]),
               i % 2 == 1 ? Protection::kNoAccess : Protection::kReadWrite);
   }
+}
+
+// Under uffd, reclaim can unmap a pte that the shadow still grants. The next
+// touch then faults, and the fault path must re-install the pte from the
+// shadow without a protocol round — SetProtection's shadow fast-path would
+// make the protocol's install a no-op and the access would fault forever.
+// Checked for a read-only, then a read-write vpage, with the pte zapped
+// behind the shadow's back.
+TEST(ViewSetTest, ZappedPteIsReinstalledFromShadow) {
+  FaultHandler& fh = FaultHandler::Instance();
+  if (!fh.UffdSupported()) {
+    GTEST_SKIP() << "kernel lacks the userfaultfd backend's features";
+  }
+  ASSERT_TRUE(fh.Install(FaultBackend::kUserfaultfd).ok());
+  ASSERT_EQ(fh.active_backend(), FaultBackend::kUserfaultfd);
+  auto vs = ViewSet::Create(PageSize() * 2, 1);
+  ASSERT_TRUE(vs.ok());
+  struct Ctx {
+    ViewSet* vs;
+    std::atomic<int> faults{0};
+    std::atomic<int> protocol_rounds{0};  // faults the shadow did not cover
+  } ctx{vs->get()};
+  const int slot = fh.Register(
+      +[](void* raw, void* addr, bool is_write) {
+        auto* c = static_cast<Ctx*>(raw);
+        uint32_t view;
+        uint64_t offset;
+        if (!c->vs->Resolve(addr, &view, &offset)) {
+          return false;
+        }
+        // A fault that repeats means the re-install did not take: die loudly
+        // instead of spinning on the same access.
+        if (c->faults.fetch_add(1) >= 4) {
+          return false;
+        }
+        if (c->vs->RestoreFromShadow(view, offset, is_write)) {
+          return true;
+        }
+        c->protocol_rounds.fetch_add(1);
+        return false;  // would be a protocol round: fail the test loudly
+      },
+      &ctx);
+  ASSERT_GE(slot, 0);
+  Minipage mp;
+  mp.view = 0;
+  mp.offset = PageSize() + 8;
+  mp.length = 64;
+  *reinterpret_cast<int*>((*vs)->PrivAddr(mp.offset)) = 77;
+  volatile int* p = reinterpret_cast<volatile int*>((*vs)->AppAddr(mp.view, mp.offset));
+
+  ASSERT_TRUE((*vs)->SetProtection(mp, Protection::kReadOnly).ok());
+  EXPECT_EQ(*p, 77);  // installed by SetProtection: no fault
+  EXPECT_EQ(ctx.faults.load(), 0);
+  ASSERT_TRUE(fh.UffdZapRange((*vs)->AppAddr(mp.view, PageSize()), PageSize()).ok());
+  EXPECT_EQ(*p, 77);  // faults once, re-installed read-only from the shadow
+  EXPECT_EQ(ctx.faults.load(), 1);
+
+  ASSERT_TRUE((*vs)->SetProtection(mp, Protection::kReadWrite).ok());
+  ASSERT_TRUE(fh.UffdZapRange((*vs)->AppAddr(mp.view, PageSize()), PageSize()).ok());
+  *p = 78;  // faults once, re-installed read-write from the shadow
+  EXPECT_EQ(ctx.faults.load(), 2);
+  EXPECT_EQ(*reinterpret_cast<const int*>((*vs)->PrivAddr(mp.offset)), 78);
+  EXPECT_EQ(ctx.protocol_rounds.load(), 0);
+
+  fh.Unregister(slot);
+  ASSERT_TRUE(fh.Install(FaultBackend::kSigsegv).ok());
 }
 
 }  // namespace

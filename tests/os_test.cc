@@ -1,10 +1,13 @@
 // Unit tests for the OS layer: memory objects, mappings, protection, and
-// the SIGSEGV fault dispatcher.
+// the SIGSEGV/SIGBUS fault dispatcher under both backends.
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstring>
+#include <thread>
 
 #include "src/os/fault_handler.h"
 #include "src/os/mapping.h"
@@ -228,75 +231,168 @@ TEST(FaultHandlerDeathTest, NestedFaultInHandlerIsRejected) {
 
 // ---- userfaultfd backend ---------------------------------------------------
 
+// One object page seen through a privileged view and a uffd-registered
+// application view, the shape ViewSet builds.
+struct UffdPages {
+  MemoryObject obj;
+  Mapping priv;
+  Mapping app;
+};
+
+UffdPages MakeUffdPages(size_t pages) {
+  FaultHandler& fh = FaultHandler::Instance();
+  EXPECT_TRUE(fh.Install(FaultBackend::kUserfaultfd).ok());
+  EXPECT_EQ(fh.active_backend(), FaultBackend::kUserfaultfd);
+  UffdPages u;
+  auto obj = MemoryObject::Create(pages * PageSize());
+  EXPECT_TRUE(obj.ok());
+  u.obj = std::move(*obj);
+  auto priv = Mapping::MapObject(u.obj, 0, pages * PageSize(), Protection::kReadWrite);
+  auto app = Mapping::MapObject(u.obj, 0, pages * PageSize(), Protection::kReadWrite);
+  EXPECT_TRUE(priv.ok() && app.ok());
+  u.priv = std::move(*priv);
+  u.app = std::move(*app);
+  EXPECT_TRUE(fh.UffdRegisterRange(u.app.base(), pages * PageSize()).ok());
+  return u;
+}
+
 // Upgrade-on-fault context for the uffd backend: protection changes go
-// through the FaultHandler range ops instead of mprotect.
+// through the FaultHandler pte operations instead of mprotect. Records every
+// fault's address, access kind and thread.
 struct UffdUpgradeCtx {
-  std::byte* base = nullptr;
-  size_t len = 0;
+  UffdPages* pages = nullptr;
   std::atomic<int> read_faults{0};
   std::atomic<int> write_faults{0};
+  std::atomic<void*> last_addr{nullptr};
+  std::atomic<bool> on_faulting_thread{true};
+  std::thread::id faulting_thread = std::this_thread::get_id();
 };
 
 bool UffdUpgradeOnFault(void* ctx_raw, void* addr, bool is_write) {
   auto* ctx = static_cast<UffdUpgradeCtx*>(ctx_raw);
-  auto* a = static_cast<std::byte*>(addr);
-  if (a < ctx->base || a >= ctx->base + ctx->len) {
+  if (!ctx->pages->app.Contains(addr)) {
     return false;
   }
-  FaultHandler& fh = FaultHandler::Instance();
-  if (is_write) {
-    ctx->write_faults.fetch_add(1);
-    return fh.UffdEnsureRange(ctx->base, ctx->len, /*write_protect=*/false).ok();
+  ctx->last_addr.store(addr);
+  if (std::this_thread::get_id() != ctx->faulting_thread) {
+    ctx->on_faulting_thread.store(false);
   }
-  ctx->read_faults.fetch_add(1);
-  return fh.UffdEnsureRange(ctx->base, ctx->len, /*write_protect=*/true).ok();
+  (is_write ? ctx->write_faults : ctx->read_faults).fetch_add(1);
+  FaultHandler& fh = FaultHandler::Instance();
+  const auto* a = static_cast<std::byte*>(addr);
+  const size_t off = RoundDownToPage(static_cast<size_t>(a - ctx->pages->app.base()));
+  // A hole fills through the privileged view first (CONTINUE needs a
+  // page-cache page); then the pte goes in, read-only for a read.
+  if (madvise(ctx->pages->priv.base() + off, PageSize(), MADV_POPULATE_WRITE) != 0) {
+    return false;
+  }
+  size_t mapped = 0;
+  const Status st =
+      fh.UffdContinue(ctx->pages->app.base() + off, PageSize(), !is_write, &mapped);
+  if (st.code() == StatusCode::kAlreadyExists) {  // a WP fault: the pte is there
+    return fh.UffdWriteProtect(ctx->pages->app.base() + off, PageSize(), false).ok();
+  }
+  return st.ok();
 }
 
-// Full round trip through the poller: a zapped pte minor-faults on read and
-// is installed write-protected; the subsequent store WP-faults and the range
-// is un-protected — no SIGSEGV, no mprotect, same backing pages.
-TEST(UffdBackendTest, MinorAndWpFaultsResolveThroughPoller) {
+// Full round trip on the faulting thread: an absent pte over a page-cache
+// page minor-faults on read and is installed write-protected; the
+// subsequent store WP-faults and the pte is un-protected — no mprotect, same
+// backing pages, and both callbacks run on the thread that touched the page.
+TEST(UffdBackendTest, MinorAndWpFaultsResolveOnFaultingThread) {
   FaultHandler& fh = FaultHandler::Instance();
   if (!fh.UffdSupported()) {
-    GTEST_SKIP() << "kernel lacks userfaultfd minor+WP shmem support";
+    GTEST_SKIP() << "kernel lacks the userfaultfd backend's features";
   }
-  ASSERT_TRUE(fh.Install(FaultBackend::kUserfaultfd).ok());
-  ASSERT_EQ(fh.active_backend(), FaultBackend::kUserfaultfd);
-  auto obj = MemoryObject::Create(PageSize());
-  ASSERT_TRUE(obj.ok());
-  auto priv = Mapping::MapObject(*obj, 0, PageSize(), Protection::kReadWrite);
-  auto app = Mapping::MapObject(*obj, 0, PageSize(), Protection::kReadWrite);
-  ASSERT_TRUE(priv.ok() && app.ok());
-  // UFFDIO_CONTINUE resolves from the page cache, so the object's pages must
-  // exist there before the first minor fault (ViewSet does the same).
-  std::memset(priv->base(), 0, PageSize());
-  reinterpret_cast<int*>(priv->base())[0] = 41;
-
+  UffdPages u = MakeUffdPages(1);
+  reinterpret_cast<int*>(u.priv.base())[0] = 41;  // page-cache page, no app pte
   UffdUpgradeCtx ctx;
-  ctx.base = app->base();
-  ctx.len = PageSize();
-  ASSERT_TRUE(fh.UffdRegisterRange(app->base(), PageSize()).ok());
-  ASSERT_TRUE(fh.UffdZapRange(app->base(), PageSize()).ok());
+  ctx.pages = &u;
   const int slot = fh.Register(&UffdUpgradeOnFault, &ctx);
   ASSERT_GE(slot, 0);
 
-  volatile int* p = reinterpret_cast<volatile int*>(app->base());
-  EXPECT_EQ(*p, 41);  // minor fault: pte installed ReadOnly via the poller
+  volatile int* p = reinterpret_cast<volatile int*>(u.app.base());
+  EXPECT_EQ(*p, 41);  // minor fault: pte installed read-only
   EXPECT_EQ(ctx.read_faults.load(), 1);
   EXPECT_EQ(ctx.write_faults.load(), 0);
-  *p = 17;  // write-protect fault: WP bit dropped via the poller
+  *p = 17;  // write-protect fault: WP bit dropped
   EXPECT_EQ(*p, 17);
   EXPECT_EQ(ctx.write_faults.load(), 1);
-  EXPECT_EQ(reinterpret_cast<int*>(priv->base())[0], 17) << "views must share backing";
+  EXPECT_TRUE(ctx.on_faulting_thread.load()) << "faults must resolve on the faulting thread";
+  EXPECT_EQ(reinterpret_cast<int*>(u.priv.base())[0], 17) << "views must share backing";
 
   fh.Unregister(slot);
-  EXPECT_TRUE(fh.UffdUnregisterRange(app->base(), PageSize()).ok());
-  // Restore the default mode for the rest of the binary.
   ASSERT_TRUE(fh.Install(FaultBackend::kSigsegv).ok());
 }
 
-// Requesting uffd must never fail Install: on kernels without minor+WP shmem
-// support it falls back to sigsegv and says so via active_backend().
+// SIGBUS carries the byte-exact fault address (not the page-masked one a
+// uffd message reports) for each fault kind: minor (page-cache page, absent
+// pte), write-protect (present read-only pte) and missing (page-cache hole).
+TEST(UffdBackendTest, SigbusReportsExactAddress) {
+  FaultHandler& fh = FaultHandler::Instance();
+  if (!fh.UffdSupported()) {
+    GTEST_SKIP() << "kernel lacks the userfaultfd backend's features";
+  }
+  UffdPages u = MakeUffdPages(3);
+  u.priv.base()[0] = std::byte{1};               // page 0: minor
+  u.priv.base()[PageSize()] = std::byte{1};      // page 1: WP, once installed
+  size_t mapped = 0;
+  ASSERT_TRUE(fh.UffdContinue(u.app.base() + PageSize(), PageSize(), true, &mapped).ok());
+  UffdUpgradeCtx ctx;  // page 2 stays a hole: missing
+  ctx.pages = &u;
+  const int slot = fh.Register(&UffdUpgradeOnFault, &ctx);
+  ASSERT_GE(slot, 0);
+
+  for (size_t page = 0; page < 3; ++page) {
+    std::byte* target = u.app.base() + page * PageSize() + 100;
+    ctx.last_addr.store(nullptr);
+    *reinterpret_cast<volatile std::byte*>(target) = std::byte{9};
+    EXPECT_EQ(ctx.last_addr.load(), target) << "page " << page;
+  }
+  EXPECT_EQ(ctx.write_faults.load(), 3);
+
+  fh.Unregister(slot);
+  ASSERT_TRUE(fh.Install(FaultBackend::kSigsegv).ok());
+}
+
+// A touch on a page-cache hole must fault (MISSING mode), not silently map a
+// fresh zero page behind the protocol's back: the read must return what the
+// fault service put there, after exactly one fault.
+TEST(UffdBackendTest, PageCacheHoleFaultsInsteadOfReadingZeros) {
+  FaultHandler& fh = FaultHandler::Instance();
+  if (!fh.UffdSupported()) {
+    GTEST_SKIP() << "kernel lacks the userfaultfd backend's features";
+  }
+  UffdPages u = MakeUffdPages(1);
+  struct HoleCtx {
+    UffdPages* pages;
+    std::atomic<int> faults{0};
+  } ctx{&u};
+  const int slot = fh.Register(
+      +[](void* raw, void* addr, bool) {
+        auto* c = static_cast<HoleCtx*>(raw);
+        if (!c->pages->app.Contains(addr)) {
+          return false;
+        }
+        c->faults.fetch_add(1);
+        reinterpret_cast<int*>(c->pages->priv.base())[0] = 55;  // the "fetched" data
+        size_t mapped = 0;
+        return FaultHandler::Instance()
+            .UffdContinue(c->pages->app.base(), PageSize(), true, &mapped)
+            .ok();
+      },
+      &ctx);
+  ASSERT_GE(slot, 0);
+
+  EXPECT_EQ(*reinterpret_cast<volatile int*>(u.app.base()), 55);
+  EXPECT_EQ(ctx.faults.load(), 1);
+
+  fh.Unregister(slot);
+  ASSERT_TRUE(fh.Install(FaultBackend::kSigsegv).ok());
+}
+
+// Requesting uffd must never fail Install: on kernels without the features
+// it falls back to sigsegv and says so via active_backend().
 TEST(UffdBackendTest, InstallFallsBackWhenUnsupported) {
   FaultHandler& fh = FaultHandler::Instance();
   ASSERT_TRUE(fh.Install(FaultBackend::kUserfaultfd).ok());
@@ -309,49 +405,6 @@ TEST(UffdBackendTest, InstallFallsBackWhenUnsupported) {
   }
   ASSERT_TRUE(fh.Install(FaultBackend::kSigsegv).ok());
   EXPECT_EQ(fh.active_backend(), FaultBackend::kSigsegv);
-}
-
-// A SIGSEGV raised *on the poller thread itself* (a buggy callback chasing a
-// wild pointer) can never be serviced — the only thread that could resolve
-// it is the one that faulted. The handler's poller guard must report and die
-// instead of deadlocking in the kernel.
-//
-// "threadsafe" death-test style is required: the default fork-based child
-// would inherit uffd_state_ == available with no poller thread (fork keeps
-// only the calling thread), so the bring-up must happen inside the death
-// statement in a re-executed child.
-TEST(FaultHandlerDeathTest, FaultOnUffdPollerThreadDies) {
-#ifdef MILLIPAGE_TSAN
-  GTEST_SKIP() << "nested-SIGSEGV death message is unobservable under tsan";
-#endif
-  if (!FaultHandler::Instance().UffdSupported()) {
-    GTEST_SKIP() << "kernel lacks userfaultfd minor+WP shmem support";
-  }
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        FaultHandler& fh = FaultHandler::Instance();
-        ASSERT_TRUE(fh.Install(FaultBackend::kUserfaultfd).ok());
-        auto obj = MemoryObject::Create(PageSize());
-        ASSERT_TRUE(obj.ok());
-        auto priv = Mapping::MapObject(*obj, 0, PageSize(), Protection::kReadWrite);
-        auto app = Mapping::MapObject(*obj, 0, PageSize(), Protection::kReadWrite);
-        ASSERT_TRUE(priv.ok() && app.ok());
-        std::memset(priv->base(), 0, PageSize());
-        ASSERT_TRUE(fh.UffdRegisterRange(app->base(), PageSize()).ok());
-        ASSERT_TRUE(fh.UffdZapRange(app->base(), PageSize()).ok());
-        fh.Register(
-            +[](void*, void*, bool) {
-              // Wild deref at poller depth (volatile so the compiler can't
-              // prove the address constant and warn it out).
-              volatile uintptr_t wild = 1;
-              (void)*reinterpret_cast<volatile int*>(wild);
-              return true;
-            },
-            nullptr);
-        (void)*reinterpret_cast<volatile int*>(app->base());
-      },
-      "nested fault on uffd poller");
 }
 
 TEST(FaultHandlerTest, RegisterUnregisterSlots) {

@@ -11,6 +11,7 @@
 #include "src/common/time_util.h"
 #include "src/dsm/global_ptr.h"
 #include "src/dsm/process_cluster.h"
+#include "src/os/fault_handler.h"
 
 namespace millipage {
 namespace {
@@ -27,10 +28,12 @@ void ExpectNoZombies() {
 
 TEST(ProcessCluster, CrossProcessReadAndWrite) {
   DsmConfig cfg;
-  cfg.transport_backend = TransportBackendFromEnv();
   // MILLIPAGE_TRANSPORT=uring re-runs the forked suite over the io_uring
   // transport (falls back to sockets on old kernels); the CI matrix sets it.
+  // MILLIPAGE_FAULT_BACKEND=sigsegv likewise runs each forked host on the
+  // mprotect fallback instead of its own userfaultfd.
   cfg.transport_backend = TransportBackendFromEnv();
+  cfg.fault_backend = FaultBackendFromEnv();
   cfg.num_hosts = 3;
   cfg.object_size = 1 << 20;
   cfg.num_views = 8;
@@ -85,6 +88,7 @@ TEST(ProcessCluster, CrossProcessReadAndWrite) {
 TEST(ProcessCluster, LocksAndBarriersAcrossProcesses) {
   DsmConfig cfg;
   cfg.transport_backend = TransportBackendFromEnv();
+  cfg.fault_backend = FaultBackendFromEnv();
   cfg.num_hosts = 2;
   cfg.object_size = 1 << 20;
   const Status st = RunForkedCluster(cfg, [](DsmNode& node, HostId host) {
@@ -113,6 +117,7 @@ TEST(ProcessCluster, LocksAndBarriersAcrossProcesses) {
 TEST(ProcessCluster, ChildFailureIsReported) {
   DsmConfig cfg;
   cfg.transport_backend = TransportBackendFromEnv();
+  cfg.fault_backend = FaultBackendFromEnv();
   cfg.num_hosts = 2;
   cfg.object_size = 1 << 20;
   const Status st = RunForkedCluster(cfg, [](DsmNode& node, HostId host) {
@@ -130,6 +135,7 @@ TEST(ProcessCluster, ChildFailureIsReported) {
 TEST(ProcessCluster, NonZeroExitIsRecordedInOutcomes) {
   DsmConfig cfg;
   cfg.transport_backend = TransportBackendFromEnv();
+  cfg.fault_backend = FaultBackendFromEnv();
   cfg.num_hosts = 2;
   cfg.object_size = 1 << 20;
   cfg.sync_timeout_ms = 3000;  // host 0's doomed final barrier fails promptly
@@ -160,6 +166,7 @@ TEST(ProcessCluster, NonZeroExitIsRecordedInOutcomes) {
 TEST(ProcessCluster, ChildKilledBySignalIsRecorded) {
   DsmConfig cfg;
   cfg.transport_backend = TransportBackendFromEnv();
+  cfg.fault_backend = FaultBackendFromEnv();
   cfg.num_hosts = 3;
   cfg.object_size = 1 << 20;
   cfg.sync_timeout_ms = 3000;

@@ -93,8 +93,8 @@ void SweepEquivalence(ManagerPolicy policy) {
   w.cells = 16;  // two cells per shard, so sharded runs can coalesce too
   w.rounds = 2;
   w.policy = policy;
-  // MILLIPAGE_FAULT_BACKEND=uffd re-runs the sweep with the views wired to
-  // the userfaultfd backend (the CI backend matrix sets it).
+  // MILLIPAGE_FAULT_BACKEND=sigsegv re-runs the sweep on the mprotect
+  // fallback (the CI backend matrix sets it).
   w.backend = FaultBackendFromEnv();
   const std::vector<std::vector<SimOp>> script = PhasedScript(w);
 

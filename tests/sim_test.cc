@@ -34,8 +34,8 @@ SimWorkload SweepWorkload() {
   w.ops_per_round = 4;
   w.use_locks = true;
   w.policy = PolicyFromEnv();
-  // MILLIPAGE_FAULT_BACKEND=uffd re-runs every simulation with the views
-  // wired to the userfaultfd backend (the CI backend matrix sets it).
+  // MILLIPAGE_FAULT_BACKEND=sigsegv re-runs every simulation on the mprotect
+  // fallback (the CI backend matrix sets it).
   w.backend = FaultBackendFromEnv();
   return w;
 }
