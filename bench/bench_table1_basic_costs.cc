@@ -41,7 +41,7 @@ bool FlipProtection(void* ctx_raw, void* addr, bool) {
 }
 
 double MeasureAccessFaultUs(int iters) {
-  MP_CHECK_OK(FaultHandler::Instance().Install());
+  MP_CHECK_OK(FaultHandler::Instance().Install(FaultBackend::kSigsegv));
   auto m = Mapping::MapAnonymous(PageSize(), Protection::kNoAccess);
   MP_CHECK(m.ok());
   FaultBenchCtx ctx;

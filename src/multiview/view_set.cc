@@ -140,11 +140,8 @@ bool ViewSet::RestoreFromShadow(uint32_t view, uint64_t offset, bool is_write) {
     const Protection have = GetVpageProtection(view, vpage);
     return is_write ? have == Protection::kReadWrite : have != Protection::kNoAccess;
   };
-  if (!allows()) {
+  if (!uffd_ || !allows()) {
     return false;
-  }
-  if (!uffd_) {
-    return true;  // mprotect precedes the shadow store: the pte allows it too
   }
   std::lock_guard<std::mutex> lock(mu_);
   if (!allows()) {
@@ -172,7 +169,7 @@ Status ViewSet::SetProtection(const Minipage& mp, Protection prot) {
   // (every change funnels through ApplyProtection), so a same-protection
   // call — a racing double fault, or a record a batched ranged call already
   // applied — costs no syscall.
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::unique_lock<std::mutex> lock = PteLock();
   if (RangeAlreadyAt(mp, prot)) {
     return Status::Ok();
   }
@@ -190,7 +187,7 @@ Status ViewSet::SetProtectionBatch(const Minipage* mps, size_t count, Protection
   }
   // Collect the minipages whose protection actually changes, sorted by
   // (view, first vpage) so contiguous runs are adjacent.
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::unique_lock<std::mutex> lock = PteLock();
   std::vector<const Minipage*> todo;
   todo.reserve(count);
   for (size_t i = 0; i < count; ++i) {
@@ -241,7 +238,7 @@ Protection ViewSet::GetProtection(const Minipage& mp) const {
 }
 
 Status ViewSet::ProtectAllAppViews(Protection prot) {
-  std::lock_guard<std::mutex> lock(mu_);
+  const std::unique_lock<std::mutex> lock = PteLock();
   for (uint32_t v = 0; v < app_views_.size(); ++v) {
     MP_RETURN_IF_ERROR(ApplyProtection(v, 0, vpages_per_view() - 1, prot));
   }

@@ -92,12 +92,14 @@ class ViewSet {
     return static_cast<Protection>(shadow_[view][vpage].load(std::memory_order_acquire));
   }
 
-  // Fault-path check, run before any protocol round: true when the shadow
-  // already grants this access — a racing fault that another thread
-  // resolved, or (under uffd) a pte that reclaim unmapped behind the shadow,
-  // which is re-installed from the shadow here. The caller retries the
-  // access; without this, the shadow fast-path in SetProtection would make
-  // the reclaimed pte's install a no-op and the access would fault forever.
+  // Fault-path check under uffd, run before any protocol round: true when
+  // the shadow already grants this access — a pte that reclaim unmapped
+  // behind the shadow, or one a racing fault is installing — after
+  // re-installing the pte from the shadow. The caller retries the access;
+  // without this, the shadow fast-path in SetProtection would make the
+  // reclaimed pte's install a no-op and the access would fault forever.
+  // Always false under mprotect, whose ptes follow the VMA: every fault
+  // there runs the protocol.
   bool RestoreFromShadow(uint32_t view, uint64_t offset, bool is_write);
 
   // Protects every vpage of every application view (bulk setup).
@@ -127,7 +129,7 @@ class ViewSet {
   // a single mprotect under kSigsegv; under kUserfaultfd one pte operation
   // per run of equal prior protection (the operation depends on it), and
   // none for a run already at `prot`. Updates the shadow and the mv.*
-  // counters. The caller holds mu_.
+  // counters. The caller holds PteLock().
   Status ApplyProtection(uint32_t view, uint64_t first_vpage, uint64_t last_vpage,
                          Protection prot);
 
@@ -141,6 +143,13 @@ class ViewSet {
   // accepts ptes that are already installed (the fault-path re-install).
   Status UffdInstall(uint32_t view, uint64_t first, uint64_t last, bool write_protect,
                      bool present_ok);
+
+  // mu_ under uffd, where the fault-path re-install reads the shadow and
+  // writes ptes; unlocked under mprotect, whose callers already serialize
+  // protection changes per minipage.
+  std::unique_lock<std::mutex> PteLock() {
+    return uffd_ ? std::unique_lock<std::mutex>(mu_) : std::unique_lock<std::mutex>();
+  }
 
   // True if every vpage of the minipage already shows `prot` in the shadow.
   bool RangeAlreadyAt(const Minipage& mp, Protection prot) const;
@@ -159,11 +168,12 @@ class ViewSet {
   std::vector<Mapping> app_views_;
   Mapping priv_view_;
   bool uffd_ = false;
-  // Serializes pte changes with their shadow updates, so the fault-path
-  // re-install never races a downgrade into a pte the shadow denies.
+  // Under uffd, serializes pte changes with their shadow updates, so the
+  // fault-path re-install never races a downgrade into a pte the shadow
+  // denies (see PteLock()).
   std::mutex mu_;
   // Shadow protection, one byte per (view, vpage). Lock-free readers; the
-  // writers hold mu_.
+  // writers hold PteLock().
   std::vector<std::unique_ptr<std::atomic<uint8_t>[]>> shadow_;
 
   TraceSink* trace_ = nullptr;

@@ -58,7 +58,8 @@ enum class MsgType : uint8_t {
                     // geometry travels in the header, like a forward)
   kCopysetReply,    // answer: pgsize = local Protection value for the id
   kLockProbe,       // adopting shard asks "do you hold lock <minipage>?"
-  kLockProbeReply,  // answer: kFlagUpgrade set when the lock is held locally
+  kLockProbeReply,  // answer: kFlagUpgrade set when the lock is held locally,
+                    // pgsize = the holder's wait slot
   kFlushHint,       // self-addressed marker: "drain the coalescer now". Never
                     // crosses hosts; exists so single-stepped (sim) nodes get
                     // a poll wakeup while a batch is pending.

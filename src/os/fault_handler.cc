@@ -49,18 +49,6 @@ constexpr uint64_t kRequiredUffdFeatures =
 #define UFFDIO_CONTINUE_MODE_WP ((__u64)1 << 1)
 #endif
 
-// True if this kernel accepts UFFDIO_CONTINUE_MODE_WP. The probe targets an
-// address no VMA covers: a kernel that knows the mode gets as far as the VMA
-// lookup (ENOENT), an older one rejects the mode first (EINVAL).
-bool ContinueWpSupported(int fd) {
-  struct uffdio_continue cont;
-  memset(&cont, 0, sizeof(cont));
-  cont.range.start = PageSize();  // below mmap_min_addr: never mapped
-  cont.range.len = PageSize();
-  cont.mode = UFFDIO_CONTINUE_MODE_WP;
-  return ioctl(fd, UFFDIO_CONTINUE, &cont) != 0 && errno == ENOENT;
-}
-
 }  // namespace
 
 const char* FaultBackendName(FaultBackend backend) {
@@ -131,6 +119,15 @@ Status FaultHandler::Install(FaultBackend requested) {
 
 bool FaultHandler::UffdSupported() { return EnsureUffd().ok(); }
 
+bool FaultHandler::ContinueWpSupported(int uffd, void* page) {
+  struct uffdio_continue cont;
+  memset(&cont, 0, sizeof(cont));
+  cont.range.start = reinterpret_cast<unsigned long>(page);
+  cont.range.len = PageSize();
+  cont.mode = UFFDIO_CONTINUE_MODE_WP;
+  return ioctl(uffd, UFFDIO_CONTINUE, &cont) != 0 && errno == ENOENT;
+}
+
 Status FaultHandler::EnsureUffd() {
   static std::mutex mu;
   std::lock_guard<std::mutex> lock(mu);
@@ -166,8 +163,19 @@ Status FaultHandler::EnsureUffd() {
       failed = Status::Errno("UFFDIO_API");
     } else if ((api.features & kRequiredUffdFeatures) != kRequiredUffdFeatures) {
       failed = Status::Unavailable("kernel lacks UFFD missing/minor/WP shmem or SIGBUS");
-    } else if (!ContinueWpSupported(fd)) {
-      failed = Status::Unavailable("kernel lacks UFFDIO_CONTINUE_MODE_WP");
+    } else {
+      // Probe on a page of our own: it lies above vm.mmap_min_addr (below
+      // it every kernel answers EINVAL, mode or not), and no other thread
+      // can map over it while the probe runs.
+      void* page = mmap(nullptr, PageSize(), PROT_NONE, MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+      if (page == MAP_FAILED) {
+        failed = Status::Errno("mmap(uffd probe page)");
+      } else {
+        if (!ContinueWpSupported(fd, page)) {
+          failed = Status::Unavailable("kernel lacks UFFDIO_CONTINUE_MODE_WP");
+        }
+        munmap(page, PageSize());
+      }
     }
   }
   if (!failed.ok()) {

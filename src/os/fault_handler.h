@@ -70,7 +70,7 @@ class FaultHandler {
   // afterwards. Falls back to kSigsegv (and still returns Ok) when the kernel
   // lacks a required userfaultfd feature — check active_backend() to see
   // what actually took effect.
-  Status Install(FaultBackend requested = FaultBackend::kSigsegv);
+  Status Install(FaultBackend requested);
 
   // The backend new view registrations will use.
   FaultBackend active_backend() const {
@@ -80,6 +80,13 @@ class FaultHandler {
   // True if this kernel supports the userfaultfd backend (attempts the
   // one-time uffd bring-up if it hasn't happened yet).
   bool UffdSupported();
+
+  // True if the userfaultfd `uffd` (past its UFFDIO_API handshake) accepts
+  // UFFDIO_CONTINUE_MODE_WP (Linux 6.3+). `page` must be page-aligned, at or
+  // above vm.mmap_min_addr, and covered by no VMA registered on `uffd`: a
+  // kernel that knows the mode gets as far as the VMA lookup (ENOENT), an
+  // older one rejects the mode first (EINVAL).
+  static bool ContinueWpSupported(int uffd, void* page);
 
   // Registers a callback; returns a slot id (>= 0), or -1 if full.
   int Register(FaultCallback cb, void* ctx);

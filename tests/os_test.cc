@@ -3,9 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <linux/userfaultfd.h>
+#include <sys/ioctl.h>
 #include <sys/mman.h>
+#include <sys/syscall.h>
+#include <sys/utsname.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <thread>
 
@@ -128,7 +135,7 @@ bool UpgradeOnFault(void* ctx_raw, void* addr, bool is_write) {
 }
 
 TEST(FaultHandlerTest, ReadAndWriteFaultsAreDistinguished) {
-  ASSERT_TRUE(FaultHandler::Instance().Install().ok());
+  ASSERT_TRUE(FaultHandler::Instance().Install(FaultBackend::kSigsegv).ok());
   auto m = Mapping::MapAnonymous(PageSize(), Protection::kNoAccess);
   ASSERT_TRUE(m.ok());
   UpgradeCtx ctx;
@@ -153,7 +160,7 @@ TEST(FaultHandlerTest, ReadAndWriteFaultsAreDistinguished) {
 // (guards against decoding the access kind from page state instead of the
 // fault error code).
 TEST(FaultHandlerTest, WriteFirstFaultDecodesAsWrite) {
-  ASSERT_TRUE(FaultHandler::Instance().Install().ok());
+  ASSERT_TRUE(FaultHandler::Instance().Install(FaultBackend::kSigsegv).ok());
   auto m = Mapping::MapAnonymous(PageSize(), Protection::kNoAccess);
   ASSERT_TRUE(m.ok());
   UpgradeCtx ctx;
@@ -175,7 +182,7 @@ TEST(FaultHandlerTest, WriteFirstFaultDecodesAsWrite) {
 // default SIGSEGV semantics. The target is a view that was mapped and then
 // torn down — the classic use-after-unmap.
 TEST(FaultHandlerDeathTest, ReadOfUnmappedViewReportsAndDies) {
-  ASSERT_TRUE(FaultHandler::Instance().Install().ok());
+  ASSERT_TRUE(FaultHandler::Instance().Install(FaultBackend::kSigsegv).ok());
   EXPECT_DEATH(
       {
         std::byte* gone = nullptr;
@@ -189,7 +196,7 @@ TEST(FaultHandlerDeathTest, ReadOfUnmappedViewReportsAndDies) {
 }
 
 TEST(FaultHandlerDeathTest, WriteToUnmappedViewReportsAndDies) {
-  ASSERT_TRUE(FaultHandler::Instance().Install().ok());
+  ASSERT_TRUE(FaultHandler::Instance().Install(FaultBackend::kSigsegv).ok());
   EXPECT_DEATH(
       {
         std::byte* gone = nullptr;
@@ -211,7 +218,7 @@ TEST(FaultHandlerDeathTest, NestedFaultInHandlerIsRejected) {
   // report, so the child dies without the expected message.
   GTEST_SKIP() << "nested-SIGSEGV death message is unobservable under tsan";
 #endif
-  ASSERT_TRUE(FaultHandler::Instance().Install().ok());
+  ASSERT_TRUE(FaultHandler::Instance().Install(FaultBackend::kSigsegv).ok());
   EXPECT_DEATH(
       {
         auto trap = Mapping::MapAnonymous(PageSize(), Protection::kNoAccess);
@@ -407,8 +414,49 @@ TEST(UffdBackendTest, InstallFallsBackWhenUnsupported) {
   EXPECT_EQ(fh.active_backend(), FaultBackend::kSigsegv);
 }
 
+// The CONTINUE_MODE_WP probe must not depend on vm.mmap_min_addr (4 KB on
+// some hosts, 64 KB on most distributions): below it every kernel answers
+// EINVAL before it looks at the mode. On Linux 6.3+ the probe succeeds on a
+// page above 64 KB, and a kernel that grants the other required features
+// brings the uffd backend up.
+TEST(UffdBackendTest, ContinueWpProbeWorksAboveMmapMinAddr) {
+  struct utsname uts;
+  int major = 0;
+  int minor = 0;
+  ASSERT_EQ(uname(&uts), 0);
+  if (sscanf(uts.release, "%d.%d", &major, &minor) != 2 || major < 6 ||
+      (major == 6 && minor < 3)) {
+    GTEST_SKIP() << "UFFDIO_CONTINUE_MODE_WP needs Linux 6.3+, this is " << uts.release;
+  }
+  int fd = static_cast<int>(syscall(SYS_userfaultfd, O_CLOEXEC | UFFD_USER_MODE_ONLY));
+  if (fd < 0) {
+    fd = static_cast<int>(syscall(SYS_userfaultfd, O_CLOEXEC));
+  }
+  if (fd < 0) {
+    GTEST_SKIP() << "userfaultfd(2) unavailable here";
+  }
+  struct uffdio_api api;
+  memset(&api, 0, sizeof(api));
+  api.api = UFFD_API;  // no features requested: the reply lists what exists
+  ASSERT_EQ(ioctl(fd, UFFDIO_API, &api), 0);
+
+  void* page = mmap(nullptr, PageSize(), PROT_NONE, MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(page, MAP_FAILED);
+  EXPECT_GE(reinterpret_cast<uintptr_t>(page), uintptr_t{65536});
+  EXPECT_TRUE(FaultHandler::ContinueWpSupported(fd, page));
+  munmap(page, PageSize());
+  close(fd);
+
+  constexpr uint64_t kRequired = UFFD_FEATURE_MISSING_SHMEM | UFFD_FEATURE_MINOR_SHMEM |
+                                 UFFD_FEATURE_PAGEFAULT_FLAG_WP |
+                                 UFFD_FEATURE_WP_HUGETLBFS_SHMEM | UFFD_FEATURE_SIGBUS;
+  if ((api.features & kRequired) == kRequired) {
+    EXPECT_TRUE(FaultHandler::Instance().UffdSupported());
+  }
+}
+
 TEST(FaultHandlerTest, RegisterUnregisterSlots) {
-  ASSERT_TRUE(FaultHandler::Instance().Install().ok());
+  ASSERT_TRUE(FaultHandler::Instance().Install(FaultBackend::kSigsegv).ok());
   int slots[FaultHandler::kMaxSlots];
   int registered = 0;
   for (int i = 0; i < FaultHandler::kMaxSlots; ++i) {
