@@ -48,6 +48,7 @@ struct FaultServiceResult {
   HistogramSnapshot read;
   HistogramSnapshot write;
   uint64_t prot_sets = 0;
+  uint64_t rmw_predicted = 0;
   double wall_ms = 0;
 };
 
@@ -90,6 +91,7 @@ FaultServiceResult RunFaultService(FaultBackend backend) {
     if (it != s.counters.end()) {
       out.prot_sets += it->second;
     }
+    out.rmw_predicted += s.counters.at("dsm.rmw_predicted");
   }
   return out;
 }
@@ -121,6 +123,7 @@ void Report(BenchReporter& reporter, FaultBackend backend) {
     row.values["p99_ns"] = static_cast<double>(h.Quantile(0.99));
     row.values["prot_sets_per_fault"] = prot_per_fault;
     reporter.Add(std::move(row));
+    reporter.RecordRmwPredicted(r.rmw_predicted, /*read_fault_row=*/kind[0] == 'r');
   }
 }
 
@@ -142,6 +145,5 @@ int main(int argc, char** argv) {
   } else {
     std::printf("  userfaultfd: kernel lacks the backend's features; section skipped\n");
   }
-  reporter.Finish();
-  return 0;
+  return reporter.Finish();
 }

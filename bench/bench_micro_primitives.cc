@@ -3,8 +3,8 @@
 // size and dirtiness, address packing, the metrics layer's own overhead
 // (enabled vs disabled — the acceptance budget is <2% on fast paths), the
 // protection tax of yielding sibling threads and of concurrent protecting
-// threads under both fault backends, and the wait-slot reply handoff,
-// parked vs polling.
+// threads under both fault backends, the wait-slot reply handoff, parked vs
+// polling, and the write-intent prediction's decision at fault entry.
 // Complements the paper-table benches with statistically robust per-op
 // numbers.
 
@@ -22,6 +22,7 @@
 #include "src/common/metrics.h"
 #include "src/common/poll_window.h"
 #include "src/diff/diff.h"
+#include "src/dsm/rmw_predictor.h"
 #include "src/dsm/wait_slots.h"
 #include "src/multiview/allocator.h"
 #include "src/multiview/minipage.h"
@@ -301,6 +302,35 @@ void BM_MetricsScopedTimerDisabled(benchmark::State& state) {
   benchmark::DoNotOptimize(h.count());
 }
 BENCHMARK(BM_MetricsScopedTimerDisabled);
+
+// --- write-intent prediction ------------------------------------------------
+// The work RmwPredictor adds to a protocol fault, with a full table of marked
+// pcs. rmw:1 is one read-modify-write of a fresh minipage per iteration at
+// the table's last-marked pc: the decision for its read fault, plus the
+// store's fault when the read ran as a plain read (every 8th, the re-check).
+// rmw:0 is a read fault at an unmarked pc, which searches the whole table.
+
+void BM_RmwPredictorFault(benchmark::State& state) {
+  const bool rmw = state.range(0) != 0;
+  RmwPredictor p;
+  constexpr uintptr_t kLoad = 0x1000;
+  constexpr uintptr_t kStore = 0x2000;
+  for (uintptr_t i = 1; i <= RmwPredictor::kEntries; ++i) {
+    p.OnFault(kLoad + i, 0, i, /*is_write=*/false, /*syncs=*/0);
+    p.OnFault(kStore, 0, i, /*is_write=*/true, /*syncs=*/0);
+  }
+  const uintptr_t pc = rmw ? kLoad + RmwPredictor::kEntries : kLoad;
+  uint64_t vpage = RmwPredictor::kEntries;
+  for (auto _ : state) {
+    ++vpage;
+    const RmwPredictor::Decision d = p.OnFault(pc, 0, vpage, /*is_write=*/false, /*syncs=*/0);
+    if (rmw && !d.write) {
+      p.OnFault(kStore, 0, vpage, /*is_write=*/true, /*syncs=*/0);
+    }
+    benchmark::DoNotOptimize(d);
+  }
+}
+BENCHMARK(BM_RmwPredictorFault)->ArgName("rmw")->Arg(0)->Arg(1);
 
 // --- reply handoff ----------------------------------------------------------
 // A cross-thread Post -> resume ping-pong over two wait slots: one iteration

@@ -52,16 +52,19 @@ void MeasureFaults(BenchReporter& reporter, int rounds, size_t minipage_bytes,
   });
   const HistogramSnapshot rd = (*cluster)->node(1).read_fault_latency();
   const HistogramSnapshot wr = (*cluster)->node(0).write_fault_latency();
+  const uint64_t predicted = (*cluster)->SnapshotMetrics().counters.at("dsm.rmw_predicted");
   char label[96];
   std::snprintf(label, sizeof(label), "read fault, %zu-byte minipage", minipage_bytes);
   PrintRow(label, rd.mean() / 1000.0, paper_read);
   reporter.AddUs(label, "minipage_bytes=" + std::to_string(minipage_bytes), rd.mean() / 1000.0,
                  rd.count);
+  reporter.RecordRmwPredicted(predicted, /*read_fault_row=*/true);
   std::snprintf(label, sizeof(label), "write fault, %zu-byte minipage (1 reader)",
                 minipage_bytes);
   PrintRow(label, wr.mean() / 1000.0, paper_write);
   reporter.AddUs(label, "minipage_bytes=" + std::to_string(minipage_bytes), wr.mean() / 1000.0,
                  wr.count);
+  reporter.RecordRmwPredicted(predicted, /*read_fault_row=*/false);
   if (minipage_bytes == 4096) {
     // One representative cluster-wide snapshot in the JSON: the full metric
     // surface as EXPERIMENTS.md documents it.
@@ -96,6 +99,8 @@ void MeasureInvalidationScaling(BenchReporter& reporter, int rounds,
     std::snprintf(label, sizeof(label), "write fault invalidating %u read copies", hosts - 1);
     PrintRow(label, wr.mean() / 1000.0, "212-366 (more copies = slower)");
     reporter.AddUs(label, "hosts=" + std::to_string(hosts), wr.mean() / 1000.0, wr.count);
+    reporter.RecordRmwPredicted((*cluster)->SnapshotMetrics().counters.at("dsm.rmw_predicted"),
+                                /*read_fault_row=*/false);
   }
 }
 

@@ -146,6 +146,25 @@ class BenchReporter {
     results_.push_back(std::move(r));
   }
 
+  // Records in the most recently added result's values how many read faults
+  // the write-intent prediction sent as write requests (dsm.rmw_predicted)
+  // in the cluster it measured. A row that prices read faults must have
+  // none, or it measured write grants: Finish() then fails the bench.
+  void RecordRmwPredicted(uint64_t predicted, bool read_fault_row) {
+    if (results_.empty()) {
+      return;
+    }
+    BenchResult& r = results_.back();
+    r.values["dsm.rmw_predicted"] = static_cast<double>(predicted);
+    if (read_fault_row && predicted > 0) {
+      std::fprintf(stderr,
+                   "%s: read-fault row \"%s\" (%s) was served by %llu predicted write grants\n",
+                   bench_name_.c_str(), r.name.c_str(), r.params.c_str(),
+                   static_cast<unsigned long long>(predicted));
+      failed_ = true;
+    }
+  }
+
   // Attach a metrics snapshot to the most recently added result.
   void AttachMetrics(const MetricsSnapshot& snapshot) {
     if (!results_.empty()) {
@@ -195,10 +214,12 @@ class BenchReporter {
     return out;
   }
 
-  // Writes the JSON file if --bench_json was given. Returns the exit code.
+  // Writes the JSON file if --bench_json was given. Returns the exit code:
+  // nonzero when the file could not be written or a row failed its check.
   int Finish() const {
+    const int rc = failed_ ? 1 : 0;
     if (env_.json_path().empty()) {
-      return 0;
+      return rc;
     }
     std::FILE* f = std::fopen(env_.json_path().c_str(), "w");
     if (f == nullptr) {
@@ -212,13 +233,14 @@ class BenchReporter {
       std::fprintf(stderr, "bench: short write to %s\n", env_.json_path().c_str());
       return 1;
     }
-    return 0;
+    return rc;
   }
 
  private:
   std::string bench_name_;
   BenchEnv env_;
   std::vector<BenchResult> results_;
+  bool failed_ = false;
 };
 
 }  // namespace millipage

@@ -16,6 +16,15 @@
 
 namespace millipage {
 
+// One cache entry. `syncs` counts the thread's Barrier/Lock/Unlock calls on
+// the node, for the write-intent prediction; it shares a cache line with the
+// uid every lookup reads, so a sync call touches no other predictor state.
+struct ThreadSlotEntry {
+  uint64_t uid = 0;
+  uint32_t slot = 0;
+  uint32_t syncs = 0;
+};
+
 namespace {
 
 // Per-thread (node -> wait slot) cache. A thread may talk to several nodes
@@ -28,8 +37,7 @@ namespace {
 // a fresh slot there.
 struct ThreadSlotCache {
   static constexpr int kMax = 16;
-  uint64_t uid[kMax] = {};
-  uint32_t slot[kMax] = {};
+  ThreadSlotEntry e[kMax] = {};
   int n = 0;
   int next_evict = 0;
 };
@@ -97,14 +105,13 @@ void DsmNode::Stop() {
   transport_->SetPeerDownHandler(nullptr);
 }
 
-uint32_t DsmNode::ThreadSlot() {
+ThreadSlotEntry& DsmNode::ThreadEntry() {
   ThreadSlotCache& c = tls_slots;
   for (int i = 0; i < c.n; ++i) {
-    if (c.uid[i] == uid_) {
-      return c.slot[i];
+    if (c.e[i].uid == uid_) {
+      return c.e[i];
     }
   }
-  const uint32_t slot = slots_.Acquire();
   int i;
   if (c.n < ThreadSlotCache::kMax) {
     i = c.n++;
@@ -112,9 +119,16 @@ uint32_t DsmNode::ThreadSlot() {
     i = c.next_evict;
     c.next_evict = (c.next_evict + 1) % ThreadSlotCache::kMax;
   }
-  c.uid[i] = uid_;
-  c.slot[i] = slot;
-  return slot;
+  c.e[i] = ThreadSlotEntry{uid_, slots_.Acquire(), 0};
+  return c.e[i];
+}
+
+uint32_t DsmNode::ThreadSlot() { return ThreadEntry().slot; }
+
+uint32_t DsmNode::SyncSlot() {
+  ThreadSlotEntry& self = ThreadEntry();
+  self.syncs++;
+  return self.slot;
 }
 
 void DsmNode::AddWorkUnits(uint64_t n) { host_[&HostCounters::work_units].Inc(n); }
@@ -243,7 +257,7 @@ void DsmNode::Barrier() {
 
 Status DsmNode::TryBarrier() {
   ScopedTimer timer(barrier_ns_);
-  const uint32_t slot = ThreadSlot();
+  const uint32_t slot = SyncSlot();
   // The barrier generation this host expects to be released from (= barriers
   // completed locally). It travels in pgsize so a failed-over barrier shard
   // can release each waiter with its *own* generation, keeping per-host
@@ -304,7 +318,7 @@ void DsmNode::Lock(uint32_t lock_id) {
 
 Status DsmNode::TryLock(uint32_t lock_id) {
   ScopedTimer timer(lock_ns_);
-  const uint32_t slot = ThreadSlot();
+  const uint32_t slot = SyncSlot();
   for (;;) {
     const uint32_t gen = NextGen(slot);
     MsgHeader h;
@@ -343,6 +357,7 @@ Status DsmNode::TryLock(uint32_t lock_id) {
 }
 
 void DsmNode::Unlock(uint32_t lock_id) {
+  (void)SyncSlot();
   // Drop the local held record *before* the release leaves, so a failover
   // probe racing this release never resurrects a lock its holder has already
   // let go of.
@@ -496,7 +511,16 @@ bool DsmNode::OnFault(uint32_t view, uint64_t offset, bool is_write) {
   if (views_->RestoreFromShadow(view, offset, is_write)) {
     return true;  // already granted here: retry the access, no protocol round
   }
-  return FaultService(view, offset, is_write).ok();
+  const ThreadSlotEntry& self = ThreadEntry();
+  const RmwPredictor::Decision d = rmw_[self.slot].OnFault(
+      FaultHandler::FaultingPc(), view, offset / PageSize(), is_write, self.syncs);
+  if (d.predicted) {
+    rmw_predicted_->Inc();
+  }
+  if (d.demoted) {
+    rmw_demoted_->Inc();
+  }
+  return FaultService(view, offset, d.write).ok();
 }
 
 Status DsmNode::FaultService(uint32_t view, uint64_t offset, bool is_write) {

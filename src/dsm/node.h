@@ -40,6 +40,7 @@
 #include "src/common/trace.h"
 #include "src/dsm/config.h"
 #include "src/dsm/directory.h"
+#include "src/dsm/rmw_predictor.h"
 #include "src/dsm/wait_slots.h"
 #include "src/multiview/allocator.h"
 #include "src/multiview/minipage.h"
@@ -47,6 +48,8 @@
 #include "src/net/transport.h"
 
 namespace millipage {
+
+struct ThreadSlotEntry;  // node.cc: the calling thread's wait slot on a node
 
 class DsmNode {
  public:
@@ -152,8 +155,11 @@ class DsmNode {
 
   // ---- Fault path --------------------------------------------------------
 
-  // Full fault service; called from the SIGSEGV handler on the faulting
-  // thread. Returns true when the access may be retried.
+  // Full fault service; called from the SIGSEGV/SIGBUS handler on the
+  // faulting thread. A read at an instruction whose loads this thread follows
+  // with a store to the same minipage asks for the write grant (RmwPredictor,
+  // keyed on FaultHandler::FaultingPc(); a call from outside a fault handler
+  // never predicts). Returns true when the access may be retried.
   bool OnFault(uint32_t view, uint64_t offset, bool is_write);
 
   // Status-returning core of OnFault. The deterministic simulator calls it
@@ -263,6 +269,13 @@ class DsmNode {
 
  private:
   DsmNode(const DsmConfig& config, HostId me, Transport* transport);
+
+  // The calling thread's wait-slot cache entry for this node, acquiring a
+  // slot on first use.
+  ThreadSlotEntry& ThreadEntry();
+  // ThreadSlot() for a Barrier, Lock or Unlock: also counts the call, which
+  // ends any read-then-write pattern the write-intent prediction watches.
+  uint32_t SyncSlot();
 
   // Server thread.
   void ServerLoop();
@@ -478,6 +491,9 @@ class DsmNode {
   Counter* const shards_adopted_ = metrics_.GetCounter("dsm.shards_adopted");
   Counter* const copyset_repairs_ = metrics_.GetCounter("dsm.copyset_repairs");
   Counter* const minipages_lost_ = metrics_.GetCounter("dsm.minipages_lost");
+  // Read faults sent as write requests / marked pcs a re-check unmarked.
+  Counter* const rmw_predicted_ = metrics_.GetCounter("dsm.rmw_predicted");
+  Counter* const rmw_demoted_ = metrics_.GetCounter("dsm.rmw_demoted");
   // Full fault service, entry to retry.
   Histogram* const read_fault_ns_ = metrics_.GetHistogram("dsm.read_fault_ns");
   Histogram* const write_fault_ns_ = metrics_.GetHistogram("dsm.write_fault_ns");
@@ -588,6 +604,10 @@ class DsmNode {
   HostCounters epoch_snapshot_;
   std::vector<EpochRecord> epochs_;
   uint32_t epoch_ = 0;
+
+  // Write-intent prediction, one table per wait slot; only the slot's own
+  // thread touches it, in OnFault.
+  RmwPredictor rmw_[WaitSlots::kMaxSlots];
 };
 
 }  // namespace millipage

@@ -34,6 +34,16 @@ bool FaultWasWrite(void* ucontext_raw) {
 #endif
 }
 
+uintptr_t FaultPc(void* ucontext_raw) {
+#if defined(__x86_64__)
+  const auto* uc = static_cast<ucontext_t*>(ucontext_raw);
+  return static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
+#else
+  (void)ucontext_raw;
+  return 0;
+#endif
+}
+
 // The userfaultfd features the DSM backend needs: missing and minor faults on
 // shmem (our "NoAccess" is an absent pte over a page-cache page or hole),
 // write-protect faults on shmem-backed VMAs, and delivery of every fault as
@@ -299,6 +309,8 @@ namespace {
 // raised at depth >= 1 means the handler itself faulted and must not be
 // dispatched again.
 thread_local int tls_fault_depth = 0;
+// The faulting pc while this thread's callbacks run (FaultingPc()).
+thread_local uintptr_t tls_fault_pc = 0;
 
 // Async-signal-safe report before the process dies. `msg` names the class
 // of failure ("unhandled fault" / "nested fault").
@@ -350,7 +362,9 @@ void FaultHandler::SignalEntry(int signo, void* info_raw, void* ucontext) {
     return;
   }
   tls_fault_depth++;
+  tls_fault_pc = FaultPc(ucontext);
   const bool handled = fh.Dispatch(addr, is_write);
+  tls_fault_pc = 0;
   tls_fault_depth--;
   if (handled) {
     if (timed) {
@@ -364,6 +378,8 @@ void FaultHandler::SignalEntry(int signo, void* info_raw, void* ucontext) {
   signal(signo, SIG_DFL);
   raise(signo);
 }
+
+uintptr_t FaultHandler::FaultingPc() { return tls_fault_pc; }
 
 bool FaultHandler::Dispatch(void* fault_addr, bool is_write) {
   faults_dispatched_.fetch_add(1, std::memory_order_relaxed);

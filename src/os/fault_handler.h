@@ -88,6 +88,11 @@ class FaultHandler {
   // older one rejects the mode first (EINVAL).
   static bool ContinueWpSupported(int uffd, void* page);
 
+  // The faulting instruction's address (x86-64 REG_RIP) while a fault
+  // callback runs on the calling thread; 0 outside one, and on platforms
+  // where it is not decoded. The DSM keys its write-intent prediction on it.
+  static uintptr_t FaultingPc();
+
   // Registers a callback; returns a slot id (>= 0), or -1 if full.
   int Register(FaultCallback cb, void* ctx);
   void Unregister(int slot);

@@ -22,6 +22,7 @@
 #include "src/net/faulty_transport.h"
 #include "src/net/inproc_transport.h"
 #include "src/os/fault_handler.h"
+#include "src/os/page.h"
 
 namespace millipage {
 namespace {
@@ -757,6 +758,174 @@ TEST(Protocol, BlockedLockWaiterParksAfterThePollWindow) {
   });
   // The grant, like every reply, was timed from Post to the waiter's return.
   EXPECT_GE((*cluster)->SnapshotMetrics().histograms.at("dsm.reply_handoff_ns").count, 1u);
+}
+
+// ---- Write-intent prediction (src/dsm/rmw_predictor.h) ---------------------
+// Every call of LoadInt faults at one load instruction and every call of
+// StoreInt at one store, so each case's loads share a pc, as a loop's do.
+
+__attribute__((noinline)) int LoadInt(const int* p) {
+  return *static_cast<const volatile int*>(p);
+}
+
+__attribute__((noinline)) void StoreInt(int* p, int v) { *static_cast<volatile int*>(p) = v; }
+
+// `n` one-int minipages, allocated and written (100 + i) by host 0.
+std::vector<GlobalAddr> AllocInts(DsmCluster& cluster, int n) {
+  std::vector<GlobalAddr> out;
+  cluster.RunOnManager([&](DsmNode& node) {
+    for (int i = 0; i < n; ++i) {
+      Result<GlobalAddr> a = node.SharedMalloc(sizeof(int));
+      MP_CHECK(a.ok()) << a.status().ToString();
+      StoreInt(reinterpret_cast<int*>(node.AppPtr(*a)), 100 + i);
+      out.push_back(*a);
+    }
+  });
+  return out;
+}
+
+int* IntAt(DsmNode& node, GlobalAddr a) { return reinterpret_cast<int*>(node.AppPtr(a)); }
+
+uint64_t Count(const DsmNode& node, const char* name) {
+  return node.SnapshotMetrics().counters.at(name);
+}
+
+// A read-modify-write loop over minipages another host last wrote: the
+// first load faults as a read and its store as a write, which marks the
+// load; every later load asks for the write grant, and its store no longer
+// faults.
+TEST(RmwPrediction, ReadModifyWriteLoopTakesOneReadFault) {
+  auto cluster = DsmCluster::Create(Cfg(2));
+  ASSERT_TRUE(cluster.ok());
+  constexpr int kN = 8;
+  const std::vector<GlobalAddr> a = AllocInts(**cluster, kN);
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    if (host == 1) {
+      for (const GlobalAddr& g : a) {
+        int* p = IntAt(node, g);
+        StoreInt(p, LoadInt(p) + 1);
+      }
+    }
+    node.Barrier();
+  });
+  DsmNode& n1 = (*cluster)->node(1);
+  EXPECT_EQ(n1.counters().read_faults, 1u);
+  // Fault counters follow the request sent: the first store's fault plus
+  // the N-1 predicted loads.
+  EXPECT_EQ(n1.counters().write_faults, uint64_t{kN});
+  EXPECT_EQ(Count(n1, "dsm.rmw_predicted"), uint64_t{kN - 1});
+  EXPECT_EQ(Count(n1, "dsm.rmw_demoted"), 0u);
+  (*cluster)->RunOnManager([&](DsmNode& node) {
+    for (int i = 0; i < kN; ++i) {
+      EXPECT_EQ(LoadInt(IntAt(node, a[i])), 101 + i);
+    }
+  });
+}
+
+// A marked pc then used read-only: predictions continue only until the
+// periodic re-check (every RmwPredictor::kRecheckEvery-th read at the pc)
+// sees no store follow, which unmarks it. From there on the reads are plain
+// and the other hosts keep their read copies.
+TEST(RmwPrediction, ReadOnlyUseStopsPredictingWithinTheRecheckPeriod) {
+  auto cluster = DsmCluster::Create(Cfg(3));
+  ASSERT_TRUE(cluster.ok());
+  const std::vector<GlobalAddr> rmw = AllocInts(**cluster, 2);
+  constexpr int kReads = 16;
+  const std::vector<GlobalAddr> ro = AllocInts(**cluster, kReads);
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    if (host == 1) {
+      for (const GlobalAddr& g : rmw) {  // marks the load, then predicts once
+        int* p = IntAt(node, g);
+        StoreInt(p, LoadInt(p) + 1);
+      }
+    }
+    node.Barrier();
+    if (host == 2) {
+      for (const GlobalAddr& g : ro) {
+        (void)LoadInt(IntAt(node, g));
+      }
+    }
+    node.Barrier();
+    if (host == 1) {
+      for (int i = 0; i < kReads; ++i) {
+        EXPECT_EQ(LoadInt(IntAt(node, ro[i])), 100 + i);
+      }
+    }
+    node.Barrier();
+  });
+  // The load's reads at the mark: #1 (rmw[1]) and #2-#7 (ro[0..5]) predict,
+  // #8 (ro[6]) is the re-check, and ro[7]'s read fault is its miss.
+  constexpr int kPredictedReads = static_cast<int>(RmwPredictor::kRecheckEvery) - 2;
+  DsmNode& n1 = (*cluster)->node(1);
+  EXPECT_EQ(Count(n1, "dsm.rmw_predicted"), uint64_t{1 + kPredictedReads});
+  EXPECT_EQ(Count(n1, "dsm.rmw_demoted"), 1u);
+  DsmNode& n2 = (*cluster)->node(2);
+  for (int i = 0; i < kReads; ++i) {
+    const Protection prot =
+        n2.views().GetVpageProtection(ro[i].view, ro[i].offset / PageSize());
+    if (i < kPredictedReads) {
+      EXPECT_EQ(prot, Protection::kNoAccess) << "ro[" << i << "] was read for a write grant";
+    } else {
+      EXPECT_NE(prot, Protection::kNoAccess) << "ro[" << i << "]: read copy taken";
+    }
+  }
+}
+
+// The perfbench probe's shape: a load and a store to the same minipage with a
+// Barrier between them never mark the load.
+TEST(RmwPrediction, ReadAndWriteAcrossABarrierNeverPredict) {
+  auto cluster = DsmCluster::Create(Cfg(2));
+  ASSERT_TRUE(cluster.ok());
+  constexpr int kN = 8;
+  const std::vector<GlobalAddr> a = AllocInts(**cluster, kN);
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    for (const GlobalAddr& g : a) {
+      int v = 0;
+      if (host == 1) {
+        v = LoadInt(IntAt(node, g));
+      }
+      node.Barrier();
+      if (host == 1) {
+        StoreInt(IntAt(node, g), v + 1);
+      }
+      node.Barrier();
+    }
+  });
+  DsmNode& n1 = (*cluster)->node(1);
+  EXPECT_EQ(n1.counters().read_faults, uint64_t{kN});
+  EXPECT_EQ(n1.counters().write_faults, uint64_t{kN});
+  EXPECT_EQ(Count(n1, "dsm.rmw_predicted"), 0u);
+}
+
+// Each thread has its own table: a pc one thread marked does not predict on
+// another thread of the same host.
+TEST(RmwPrediction, ThreadsOfOneHostKeepSeparateTables) {
+  auto cluster = DsmCluster::Create(Cfg(2));
+  ASSERT_TRUE(cluster.ok());
+  const std::vector<GlobalAddr> rmw = AllocInts(**cluster, 2);
+  constexpr int kReads = 4;
+  const std::vector<GlobalAddr> ro = AllocInts(**cluster, kReads);
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    if (host == 1) {
+      const auto rmw_at = [&](GlobalAddr g) {
+        int* p = IntAt(node, g);
+        StoreInt(p, LoadInt(p) + 1);
+      };
+      rmw_at(rmw[0]);  // marks the load in this thread's table
+      std::thread other([&] {
+        for (const GlobalAddr& g : ro) {
+          (void)LoadInt(IntAt(node, g));  // plain reads: its own table is empty
+        }
+      });
+      other.join();
+      rmw_at(rmw[1]);  // predicted: this thread's mark is intact
+    }
+    node.Barrier();
+  });
+  DsmNode& n1 = (*cluster)->node(1);
+  EXPECT_EQ(n1.counters().read_faults, uint64_t{1 + kReads});
+  EXPECT_EQ(n1.counters().write_faults, 2u);
+  EXPECT_EQ(Count(n1, "dsm.rmw_predicted"), 1u);
 }
 
 }  // namespace

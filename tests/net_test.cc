@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -129,22 +130,28 @@ TEST(InProcTransportTest, BlockingPollWakesOnSend) {
 }
 
 // Right after a delivery the mailbox is inside its poll window, which is
-// longer than this timeout: the poll must still give up at the timeout.
+// longer than this timeout: the poll must still give up at the timeout. A
+// poll that ignored it would spin out the whole window every time, so the
+// fastest of 20 tries must end inside the window; one preempted try cannot
+// fail the test.
 TEST(InProcTransportTest, PollHonorsShortTimeoutAfterTraffic) {
   InProcTransport t(2);
   const auto no_sink = [](const MsgHeader&) -> std::byte* { return nullptr; };
-  MsgHeader h;
-  h.set_type(MsgType::kAck);
-  ASSERT_TRUE(t.Send(1, h, nullptr, 0).ok());
-  MsgHeader got;
-  auto polled = t.Poll(1, &got, no_sink, 1000000);
-  ASSERT_TRUE(polled.ok() && *polled);
-  const uint64_t t0 = MonotonicNowNs();
-  polled = t.Poll(1, &got, no_sink, /*timeout_us=*/10);
-  const uint64_t elapsed_ns = MonotonicNowNs() - t0;
-  ASSERT_TRUE(polled.ok());
-  EXPECT_FALSE(*polled);
-  EXPECT_LT(elapsed_ns, 5000000u);
+  uint64_t fastest_ns = ~0ULL;
+  for (int i = 0; i < 20; ++i) {
+    MsgHeader h;
+    h.set_type(MsgType::kAck);
+    ASSERT_TRUE(t.Send(1, h, nullptr, 0).ok());
+    MsgHeader got;
+    auto polled = t.Poll(1, &got, no_sink, 1000000);
+    ASSERT_TRUE(polled.ok() && *polled);
+    const uint64_t t0 = MonotonicNowNs();
+    polled = t.Poll(1, &got, no_sink, /*timeout_us=*/10);
+    fastest_ns = std::min(fastest_ns, MonotonicNowNs() - t0);
+    ASSERT_TRUE(polled.ok());
+    EXPECT_FALSE(*polled);
+  }
+  EXPECT_LT(fastest_ns, kPollWindowUs * 1000);
 }
 
 // The window only decides how the wait starts: once it expires the poll parks
