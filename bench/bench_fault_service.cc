@@ -12,11 +12,19 @@
 // backend choice changes: mprotect (mmap lock taken for writing, VMA split
 // and merge) vs one userfaultfd pte operation (mmap lock taken shared).
 //
+// The loops visit the arrays in a stride-kVisitStride order, so no fault
+// lands on the minipage after its instruction's previous fault: each fault is
+// priced alone. Visited in id order, the second round on would read ahead
+// (stream read-ahead, DESIGN.md §15), and the rows would price groups; the
+// bench fails if any priced row's cluster read ahead.
+//
 // Reported per backend: p50/p99/mean of the read- and write-fault service
 // histograms merged across hosts, plus ranged protection calls per fault
 // (mv.prot_sets / faults) — the coalescing figure of merit. The userfaultfd
 // section is skipped (with a note) on kernels without the backend's
-// features.
+// features. One more row, kind=read_stream on the default backend, prices a
+// group: the same loops in id order, where each read fault after the first
+// of a round fetches up to StreamPredictor::kDepth minipages with it.
 
 #include <cstdio>
 #include <string>
@@ -34,6 +42,10 @@ namespace {
 int g_rounds = 40;
 constexpr int kArrays = 32;
 constexpr uint16_t kHosts = 4;
+// Coprime with kArrays, so the visit order is a permutation of the arrays
+// in which no array follows the one allocated before it.
+constexpr int kVisitStride = 7;
+static_assert(kArrays % kVisitStride != 0);
 
 DsmConfig Cfg(FaultBackend backend) {
   DsmConfig cfg;
@@ -49,10 +61,13 @@ struct FaultServiceResult {
   HistogramSnapshot write;
   uint64_t prot_sets = 0;
   uint64_t rmw_predicted = 0;
+  uint64_t readahead_groups = 0;
+  uint64_t readahead_fetched = 0;
   double wall_ms = 0;
 };
 
-FaultServiceResult RunFaultService(FaultBackend backend) {
+// `in_id_order` visits the arrays in allocation order, which reads ahead.
+FaultServiceResult RunFaultService(FaultBackend backend, bool in_id_order) {
   auto cluster = DsmCluster::Create(Cfg(backend));
   MP_CHECK(cluster.ok()) << cluster.status().ToString();
   std::vector<GlobalPtr<int>> ptrs(kArrays);
@@ -63,18 +78,21 @@ FaultServiceResult RunFaultService(FaultBackend backend) {
     }
   });
 
+  const auto visit = [in_id_order](int i) {
+    return in_id_order ? i : i * kVisitStride % kArrays;
+  };
   const uint64_t t0 = MonotonicNowNs();
   (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
     node.Barrier();
     for (int r = 0; r < g_rounds; ++r) {
       if (host == static_cast<HostId>(r % kHosts)) {
-        for (int a = 0; a < kArrays; ++a) {
-          ptrs[a][0] = ptrs[a][0] + 1;
+        for (int i = 0; i < kArrays; ++i) {
+          ptrs[visit(i)][0] = ptrs[visit(i)][0] + 1;
         }
       }
       node.Barrier();
-      for (int a = 0; a < kArrays; ++a) {
-        volatile int sink = ptrs[a][0];
+      for (int i = 0; i < kArrays; ++i) {
+        volatile int sink = ptrs[visit(i)][0];
         (void)sink;
       }
       node.Barrier();
@@ -92,12 +110,14 @@ FaultServiceResult RunFaultService(FaultBackend backend) {
       out.prot_sets += it->second;
     }
     out.rmw_predicted += s.counters.at("dsm.rmw_predicted");
+    out.readahead_groups += s.counters.at("dsm.readahead_groups");
+    out.readahead_fetched += s.counters.at("dsm.readahead_fetched");
   }
   return out;
 }
 
 void Report(BenchReporter& reporter, FaultBackend backend) {
-  const FaultServiceResult r = RunFaultService(backend);
+  const FaultServiceResult r = RunFaultService(backend, /*in_id_order=*/false);
   const char* name = FaultBackendName(backend);
   const uint64_t faults = r.read.count + r.write.count;
   const double prot_per_fault =
@@ -124,7 +144,36 @@ void Report(BenchReporter& reporter, FaultBackend backend) {
     row.values["prot_sets_per_fault"] = prot_per_fault;
     reporter.Add(std::move(row));
     reporter.RecordRmwPredicted(r.rmw_predicted, /*read_fault_row=*/kind[0] == 'r');
+    reporter.RecordReadAhead(r.readahead_groups, /*single_fault_row=*/true);
   }
+}
+
+// The read faults of the id-order loops: each one that reads ahead heads a
+// group. ns_per_op is their mean service time; the values say how many
+// minipages each fault installed and what one cost.
+void ReportReadStream(BenchReporter& reporter, FaultBackend backend) {
+  const FaultServiceResult r = RunFaultService(backend, /*in_id_order=*/true);
+  const char* name = FaultBackendName(backend);
+  const double minipages = static_cast<double>(r.read.count + r.readahead_fetched);
+  const double total_ns = r.read.mean() * static_cast<double>(r.read.count);
+  std::printf("  %-10s %-6s %8lu %9.1f %9.1f %9.1f %9.1f  %5.2f mp/fault, %.1f us/mp\n", name,
+              "stream", static_cast<unsigned long>(r.read.count),
+              static_cast<double>(r.read.Quantile(0.5)) / 1e3,
+              static_cast<double>(r.read.Quantile(0.99)) / 1e3, r.read.mean() / 1e3, r.wall_ms,
+              r.read.count > 0 ? minipages / static_cast<double>(r.read.count) : 0.0,
+              minipages > 0 ? total_ns / minipages / 1e3 : 0.0);
+  BenchResult row;
+  row.name = "fault_service";
+  row.params = std::string("backend=") + name + " kind=read_stream";
+  row.iterations = r.read.count;
+  row.ns_per_op = r.read.mean();
+  row.values["p50_ns"] = static_cast<double>(r.read.Quantile(0.5));
+  row.values["dsm.readahead_fetched"] = static_cast<double>(r.readahead_fetched);
+  row.values["minipages_per_fault"] =
+      r.read.count > 0 ? minipages / static_cast<double>(r.read.count) : 0.0;
+  row.values["ns_per_minipage"] = minipages > 0 ? total_ns / minipages : 0.0;
+  reporter.Add(std::move(row));
+  reporter.RecordReadAhead(r.readahead_groups, /*single_fault_row=*/false);
 }
 
 }  // namespace
@@ -142,8 +191,10 @@ int main(int argc, char** argv) {
   Report(reporter, FaultBackend::kSigsegv);
   if (FaultHandler::Instance().UffdSupported()) {
     Report(reporter, FaultBackend::kUserfaultfd);
+    ReportReadStream(reporter, FaultBackend::kUserfaultfd);
   } else {
     std::printf("  userfaultfd: kernel lacks the backend's features; section skipped\n");
+    ReportReadStream(reporter, FaultBackend::kSigsegv);
   }
   return reporter.Finish();
 }

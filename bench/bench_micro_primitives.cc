@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "src/common/poll_window.h"
 #include "src/diff/diff.h"
 #include "src/dsm/rmw_predictor.h"
+#include "src/dsm/stream_predictor.h"
 #include "src/dsm/wait_slots.h"
 #include "src/multiview/allocator.h"
 #include "src/multiview/minipage.h"
@@ -331,6 +333,38 @@ void BM_RmwPredictorFault(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RmwPredictorFault)->ArgName("rmw")->Arg(0)->Arg(1);
+
+// --- stream read-ahead ------------------------------------------------------
+// The work StreamPredictor adds to a fault that does not read ahead, with a
+// full table. candidate:0 is a fault at a pc whose stream a sync call ended:
+// one scan of the slot's line that finds nothing, then the record of the
+// fault's minipage. candidate:1 is a fault at a pc whose previous fault was
+// on minipage m, landing on m+2 (a stride-2 walk): the scan returns m+1, and
+// the node takes its translation table's lock once to see that the fault
+// lies elsewhere; the row adds that uncontended lock, not the table read.
+
+void BM_StreamPredictorFault(benchmark::State& state) {
+  const bool candidate = state.range(0) != 0;
+  StreamPredictor p;
+  std::mutex xlate_mu;
+  constexpr uintptr_t kPc = 0x1000;
+  for (uintptr_t i = 1; i < StreamPredictor::kEntries; ++i) {
+    p.Record(kPc + i, /*write=*/false, static_cast<MinipageId>(i), /*syncs=*/0);
+  }
+  uint32_t syncs = 0;
+  MinipageId id = 0;
+  for (auto _ : state) {
+    id += 2;
+    syncs += candidate ? 0 : 1;
+    const MinipageId next = p.Next(kPc, /*write=*/false, syncs);
+    if (next != kInvalidMinipage) {
+      std::lock_guard<std::mutex> lock(xlate_mu);
+      benchmark::DoNotOptimize(next);
+    }
+    p.Record(kPc, /*write=*/false, id, syncs);
+  }
+}
+BENCHMARK(BM_StreamPredictorFault)->ArgName("candidate")->Arg(0)->Arg(1);
 
 // --- reply handoff ----------------------------------------------------------
 // A cross-thread Post -> resume ping-pong over two wait slots: one iteration

@@ -5,6 +5,7 @@
 // thin-layer design avoids (250 us per 4 KB page on the paper's hardware,
 // linear in size).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -25,8 +26,21 @@ DsmConfig Cfg(uint16_t hosts) {
   return cfg;
 }
 
+// The median of `ns`.
+double P50(std::vector<uint64_t> ns) {
+  MP_CHECK(!ns.empty());
+  std::sort(ns.begin(), ns.end());
+  const size_t n = ns.size();
+  return n % 2 == 1 ? static_cast<double>(ns[n / 2])
+                    : (static_cast<double>(ns[n / 2 - 1]) + static_cast<double>(ns[n / 2])) / 2;
+}
+
 // Ping-pong: host 0 writes (invalidating host 1's copy), host 1 re-reads.
-// Host 1's read-fault latency histogram gives the service time.
+// Host 1's read-fault latency histogram gives the service time. Each row's
+// ns_per_op is the histogram's mean; its values carry the p50 of the timed
+// accesses (the histogram's power-of-two buckets are too coarse for it),
+// which the §4.2 shape gate compares: one multi-ms outlier in a 20-round
+// smoke run moves a mean 10x.
 void MeasureFaults(BenchReporter& reporter, int rounds, size_t minipage_bytes,
                    const char* paper_read, const char* paper_write) {
   auto cluster = DsmCluster::Create(Cfg(2));
@@ -37,34 +51,54 @@ void MeasureFaults(BenchReporter& reporter, int rounds, size_t minipage_bytes,
     MP_CHECK(a.ok());
     p = GlobalPtr<char>(*a);
   });
+  // Each written by one host's thread. Round 0's write hits the copy the
+  // allocation left on host 0 and takes no fault, so it is not timed.
+  std::vector<uint64_t> read_ns;
+  std::vector<uint64_t> write_ns;
   (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
     for (int r = 0; r < rounds; ++r) {
       if (host == 0) {
+        const uint64_t t0 = MonotonicNowNs();
         p[0] = static_cast<char>(r);  // write fault (invalidates reader)
+        if (r > 0) {
+          write_ns.push_back(MonotonicNowNs() - t0);
+        }
       }
       node.Barrier();
       if (host == 1) {
+        const uint64_t t0 = MonotonicNowNs();
         volatile char c = p[0];  // read fault (fetches the minipage)
         (void)c;
+        read_ns.push_back(MonotonicNowNs() - t0);
       }
       node.Barrier();
     }
   });
   const HistogramSnapshot rd = (*cluster)->node(1).read_fault_latency();
   const HistogramSnapshot wr = (*cluster)->node(0).write_fault_latency();
-  const uint64_t predicted = (*cluster)->SnapshotMetrics().counters.at("dsm.rmw_predicted");
+  const MetricsSnapshot snap = (*cluster)->SnapshotMetrics();
+  const uint64_t predicted = snap.counters.at("dsm.rmw_predicted");
+  const uint64_t groups = snap.counters.at("dsm.readahead_groups");
+  const auto add_row = [&](const char* label, const HistogramSnapshot& h,
+                           const std::vector<uint64_t>& access_ns, const char* paper,
+                           bool read_fault_row) {
+    PrintRow(label, h.mean() / 1000.0, paper);
+    BenchResult row;
+    row.name = label;
+    row.params = "minipage_bytes=" + std::to_string(minipage_bytes);
+    row.iterations = h.count;
+    row.ns_per_op = h.mean();
+    row.values["p50_ns"] = P50(access_ns);
+    reporter.Add(std::move(row));
+    reporter.RecordRmwPredicted(predicted, read_fault_row);
+    reporter.RecordReadAhead(groups, /*single_fault_row=*/true);
+  };
   char label[96];
   std::snprintf(label, sizeof(label), "read fault, %zu-byte minipage", minipage_bytes);
-  PrintRow(label, rd.mean() / 1000.0, paper_read);
-  reporter.AddUs(label, "minipage_bytes=" + std::to_string(minipage_bytes), rd.mean() / 1000.0,
-                 rd.count);
-  reporter.RecordRmwPredicted(predicted, /*read_fault_row=*/true);
+  add_row(label, rd, read_ns, paper_read, /*read_fault_row=*/true);
   std::snprintf(label, sizeof(label), "write fault, %zu-byte minipage (1 reader)",
                 minipage_bytes);
-  PrintRow(label, wr.mean() / 1000.0, paper_write);
-  reporter.AddUs(label, "minipage_bytes=" + std::to_string(minipage_bytes), wr.mean() / 1000.0,
-                 wr.count);
-  reporter.RecordRmwPredicted(predicted, /*read_fault_row=*/false);
+  add_row(label, wr, write_ns, paper_write, /*read_fault_row=*/false);
   if (minipage_bytes == 4096) {
     // One representative cluster-wide snapshot in the JSON: the full metric
     // surface as EXPERIMENTS.md documents it.
@@ -99,8 +133,11 @@ void MeasureInvalidationScaling(BenchReporter& reporter, int rounds,
     std::snprintf(label, sizeof(label), "write fault invalidating %u read copies", hosts - 1);
     PrintRow(label, wr.mean() / 1000.0, "212-366 (more copies = slower)");
     reporter.AddUs(label, "hosts=" + std::to_string(hosts), wr.mean() / 1000.0, wr.count);
-    reporter.RecordRmwPredicted((*cluster)->SnapshotMetrics().counters.at("dsm.rmw_predicted"),
+    const MetricsSnapshot snap = (*cluster)->SnapshotMetrics();
+    reporter.RecordRmwPredicted(snap.counters.at("dsm.rmw_predicted"),
                                 /*read_fault_row=*/false);
+    reporter.RecordReadAhead(snap.counters.at("dsm.readahead_groups"),
+                             /*single_fault_row=*/true);
   }
 }
 

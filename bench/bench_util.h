@@ -165,6 +165,24 @@ class BenchReporter {
     }
   }
 
+  // Records in the most recently added result's values how many faults of
+  // the cluster it measured read ahead (dsm.readahead_groups). A row that
+  // prices single faults must have none, or it priced groups: Finish() then
+  // fails the bench.
+  void RecordReadAhead(uint64_t groups, bool single_fault_row) {
+    if (results_.empty()) {
+      return;
+    }
+    BenchResult& r = results_.back();
+    r.values["dsm.readahead_groups"] = static_cast<double>(groups);
+    if (single_fault_row && groups > 0) {
+      std::fprintf(stderr, "%s: single-fault row \"%s\" (%s) read ahead in %llu groups\n",
+                   bench_name_.c_str(), r.name.c_str(), r.params.c_str(),
+                   static_cast<unsigned long long>(groups));
+      failed_ = true;
+    }
+  }
+
   // Attach a metrics snapshot to the most recently added result.
   void AttachMetrics(const MetricsSnapshot& snapshot) {
     if (!results_.empty()) {

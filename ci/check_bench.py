@@ -33,22 +33,24 @@ SWING = 3.0
 # but legitimate (warned, and absorbed at the next --update).
 HARD_SWING = 10.0
 
-# The paper's shape claims, as (bench, lhs row, op, factor, rhs row): "lhs op
-# factor * rhs" must hold on every run.
+# The paper's shape claims, as (bench, lhs row, op, factor, rhs row, value):
+# "lhs op factor * rhs" must hold on every run, comparing the rows' ns_per_op
+# (value None) or the named entry of their values.
 SHAPE_GATES = [
     # Section 4.2: write cost grows with the copyset it invalidates.
     ("bench_sec42_dsm_costs", "write fault invalidating 3 read copies", ">", 1.0,
-     "write fault invalidating 1 read copies"),
+     "write fault invalidating 1 read copies", None),
     # Section 4.2: an isolated write fault is a few message latencies, like a
-    # read fault.
+    # read fault. Compared on the rows' p50s: their means over 20 --smoke
+    # rounds move 10x with one multi-ms outlier.
     ("bench_sec42_dsm_costs", "write fault, 128-byte minipage (1 reader)", "<=", 3.0,
-     "read fault, 128-byte minipage"),
+     "read fault, 128-byte minipage", "p50_ns"),
     # Table 1: a header message is cheaper than a data message, and a data
     # message's cost grows with its size.
     ("bench_table1_basic_costs", "in-proc: header message send/recv (32 bytes)", "<", 1.0,
-     "in-proc: data message send/recv (4 KB)"),
+     "in-proc: data message send/recv (4 KB)", None),
     ("bench_table1_basic_costs", "in-proc: data message send/recv (0.5 KB)", "<", 1.0,
-     "in-proc: data message send/recv (4 KB)"),
+     "in-proc: data message send/recv (4 KB)", None),
 ]
 # Figure 7: chunking has an interior optimum. Within each host count, the
 # lowest-time bench_fig7_chunking row must be some level > 1: neither no
@@ -116,16 +118,22 @@ def check_shape(doc):
     is absent; a present bench missing a gated row fails."""
     results = {b["bench"]: b["results"] for b in doc["benches"]}
     violated = []
-    for bench, lhs, op, factor, rhs in SHAPE_GATES:
+    for bench, lhs, op, factor, rhs, value in SHAPE_GATES:
         if bench not in results:
             print(f"check_bench: {bench} absent; shape gate on {lhs!r} skipped")
             continue
-        us = {r["name"]: float(r["ns_per_op"]) / 1000.0 for r in results[bench]}
+        rows = {r["name"]: r for r in results[bench]}
+        us = {}
         for name in (lhs, rhs):
-            if name not in us:
+            if name not in rows:
                 fail(f"{bench}: shape-gate row {name!r} missing")
+            ns = rows[name]["ns_per_op"] if value is None else rows[name].get("values", {}).get(value)
+            if not isinstance(ns, (int, float)):
+                fail(f"{bench}: shape-gate row {name!r} has no {value!r} value")
+            us[name] = float(ns) / 1000.0
         holds = OPS[op](us[lhs], factor * us[rhs])
-        claim = f"{lhs} ({us[lhs]:.3f} us) {op} {factor:g} x {rhs} ({us[rhs]:.3f} us)"
+        unit = "us" if value is None else f"us {value.split('_')[0]}"
+        claim = f"{lhs} ({us[lhs]:.3f} {unit}) {op} {factor:g} x {rhs} ({us[rhs]:.3f} {unit})"
         print(f"check_bench: shape {'ok' if holds else 'VIOLATED'}: {claim}")
         if not holds:
             violated.append(claim)

@@ -416,20 +416,11 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
     h.addr = addrs[i].Pack();
     reqs.push_back(h);
   }
-  // Issue the whole group. With batching on, frames of up to kMaxBatchRecords
-  // untranslated requests share one datagram (all bound for the MPT host, all
-  // carrying the same slot/generation).
+  // Issue the whole group: untranslated requests for the MPT host, all
+  // carrying the same slot/generation, batched into shared frames.
   size_t issued = 0;
-  while (issued < reqs.size()) {
-    const size_t n = config_.batch_coherence
-                         ? std::min<size_t>(reqs.size() - issued, kMaxBatchRecords)
-                         : 1;
-    const Status st = TrySendRecords(kManagerHost, &reqs[issued], n);
-    if (!st.ok()) {
-      (void)LivenessFailure("FetchGroup", st);
-      break;
-    }
-    issued += n;
+  if (const Status st = SendGroup(reqs.data(), reqs.size(), &issued); !st.ok()) {
+    (void)LivenessFailure("FetchGroup", st);
   }
   host_[&HostCounters::prefetches].Inc(issued);
   // Split transaction: collect the replies (any order) and ACK each one so
@@ -460,20 +451,13 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
       return collected;
     }
     if ((reply->flags & kFlagAbort) != 0) {
-      // Lost minipage (sole copy died): per-id error, no service to ACK.
-      std::lock_guard<std::mutex> lock(lost_mu_);
-      lost_minipages_.insert(reply->minipage);
+      NoteLost(reply->minipage);  // sole copy died: per-id error, no service to ACK
       continue;
     }
     collected++;
     host_[&HostCounters::prefetch_bytes].Inc(reply->has_payload() ? reply->pgsize : 0);
     if (config_.enable_ack) {
-      MsgHeader ack;
-      ack.set_type(MsgType::kAck);
-      ack.from = me_;
-      ack.seq = kNoWaitSlot;
-      ack.addr = reply->addr;
-      ack.minipage = reply->minipage;
+      const MsgHeader ack = AckFor(*reply);
       const HostId to = LiveManagerOf(ack.minipage);
       auto it = std::find_if(acks.begin(), acks.end(),
                              [&](const auto& p) { return p.first == to; });
@@ -526,15 +510,44 @@ bool DsmNode::OnFault(uint32_t view, uint64_t offset, bool is_write) {
 Status DsmNode::FaultService(uint32_t view, uint64_t offset, bool is_write) {
   const bool timed = MetricsEnabled();
   const uint64_t t0 = timed ? MonotonicNowNs() : 0;
-  const char* const what = is_write ? "write fault" : "read fault";
   if (is_write) {
     host_[&HostCounters::write_faults].Inc();
   } else {
     host_[&HostCounters::read_faults].Inc();
   }
-  const uint32_t slot = ThreadSlot();
+  const ThreadSlotEntry& self = ThreadEntry();
   const uint64_t addr = GlobalAddr{view, offset}.Pack();
   Trace(TraceEventKind::kFaultStart, ~0u, addr, is_write ? 1 : 0);
+  // Stream read-ahead (DESIGN.md §15) needs the ACK, as Prefetch does: each
+  // group member is held behind its minipage's ACK like a fault.
+  const uintptr_t pc = FaultHandler::FaultingPc();
+  StreamPredictor& stream = stream_[self.slot];
+  const MinipageId next =
+      config_.enable_ack ? stream.Next(pc, is_write, self.syncs) : kInvalidMinipage;
+  MinipageId last = kInvalidMinipage;
+  const Result<MsgHeader> reply =
+      next != kInvalidMinipage ? ReadAhead(self.slot, view, offset, is_write, next, &last)
+                               : FetchForFault(self.slot, addr, is_write);
+  if (!reply.ok()) {
+    return reply.status();
+  }
+  stream.Record(pc, is_write, last != kInvalidMinipage ? last : reply->minipage, self.syncs);
+
+  const uint64_t data_bytes = reply->has_payload() ? reply->pgsize : 0;
+  if (is_write) {
+    host_[&HostCounters::write_fault_bytes].Inc(data_bytes);
+  } else {
+    host_[&HostCounters::read_fault_bytes].Inc(data_bytes);
+  }
+  if (timed) {
+    (is_write ? write_fault_ns_ : read_fault_ns_)->RecordAlways(MonotonicNowNs() - t0);
+  }
+  Trace(TraceEventKind::kFaultEnd, reply->minipage, addr, is_write ? 1 : 0);
+  return Status::Ok();
+}
+
+Result<MsgHeader> DsmNode::FetchForFault(uint32_t slot, uint64_t addr, bool is_write) {
+  const char* const what = is_write ? "write fault" : "read fault";
   // Fault service is idempotent — the manager re-routes every (re)send
   // against current directory state, and a late reply to an abandoned
   // attempt is discarded by its stale generation — so a lost message is
@@ -561,15 +574,7 @@ Status DsmNode::FaultService(uint32_t view, uint64_t offset, bool is_write) {
     Result<MsgHeader> r = AwaitReply(slot, gen, attempt_timeout_ms, what, /*poll=*/true);
     if (r.ok()) {
       if ((r->flags & kFlagAbort) != 0) {
-        // The owning shard degraded this minipage: its sole copy died with
-        // its host. Per-minipage error — the rest of the cluster keeps going.
-        {
-          std::lock_guard<std::mutex> lock(lost_mu_);
-          lost_minipages_.insert(r->minipage);
-        }
-        return LivenessFailure(
-            what, Status::NotFound("minipage " + std::to_string(r->minipage) +
-                                   " lost: its only copy died with its host"));
+        return FaultLost(what, r->minipage);
       }
       reply = *r;
       break;
@@ -587,28 +592,139 @@ Status DsmNode::FaultService(uint32_t view, uint64_t offset, bool is_write) {
                   << attempt_timeout_ms << " ms (attempt " << timeouts << "/"
                   << config_.max_request_retries + 1 << "); re-sending";
   }
-
   if (config_.enable_ack || is_write) {
-    MsgHeader ack;
-    ack.set_type(MsgType::kAck);
-    ack.from = me_;
-    ack.seq = kNoWaitSlot;
-    ack.addr = reply.addr;
-    ack.minipage = reply.minipage;
-    SendMsg(LiveManagerOf(ack.minipage), ack);
+    SendMsg(LiveManagerOf(reply.minipage), AckFor(reply));
   }
+  return reply;
+}
 
-  const uint64_t data_bytes = reply.has_payload() ? reply.pgsize : 0;
-  if (is_write) {
-    host_[&HostCounters::write_fault_bytes].Inc(data_bytes);
-  } else {
-    host_[&HostCounters::read_fault_bytes].Inc(data_bytes);
+Result<MsgHeader> DsmNode::ReadAhead(uint32_t slot, uint32_t view, uint64_t offset,
+                                     bool is_write, MinipageId next, MinipageId* last) {
+  constexpr uint32_t kGroup = 1 + StreamPredictor::kDepth;
+  const uint64_t addr = GlobalAddr{view, offset}.Pack();
+  // The learned translations of `next` and the ids after it, up to the first
+  // one this host has not learned.
+  Translation span[kGroup];
+  uint32_t known = 0;
+  {
+    std::lock_guard<std::mutex> lock(xlate_mu_);
+    while (known < kGroup && next + known < xlate_.size() && xlate_[next + known].length != 0) {
+      span[known] = xlate_[next + known];
+      known++;
+    }
   }
-  if (timed) {
-    (is_write ? write_fault_ns_ : read_fault_ns_)->RecordAlways(MonotonicNowNs() - t0);
+  if (known == 0 || span[0].view != view || offset < span[0].offset ||
+      offset - span[0].offset >= span[0].length) {
+    return FetchForFault(slot, addr, is_write);  // not in `next`: no stream
   }
-  Trace(TraceEventKind::kFaultEnd, reply.minipage, addr, is_write ? 1 : 0);
+  *last = next + known - 1;
+  // The fault's own request first, then every member that lacks the access.
+  MsgHeader reqs[kGroup];
+  size_t n = 0;
+  for (uint32_t i = 0; i < known; ++i) {
+    if (i > 0) {
+      const Protection have =
+          views_->GetVpageProtection(span[i].view, span[i].offset / PageSize());
+      if (have == Protection::kReadWrite || (!is_write && have == Protection::kReadOnly)) {
+        continue;
+      }
+    }
+    MsgHeader& h = reqs[n++];
+    h.set_type(is_write ? MsgType::kWriteRequest : MsgType::kReadRequest);
+    h.from = me_;
+    h.addr = i == 0 ? addr : GlobalAddr{span[i].view, span[i].offset}.Pack();
+  }
+  if (n == 1) {
+    return FetchForFault(slot, addr, is_write);  // every member is present
+  }
+  const char* const what = is_write ? "write fault" : "read fault";
+  const uint32_t gen = NextGen(slot);
+  for (size_t i = 0; i < n; ++i) {
+    reqs[i].seq = WaitSlots::MakeSeq(slot, gen);
+  }
+  size_t issued = 0;
+  if (const Status st = SendGroup(reqs, n, &issued); !st.ok()) {
+    return LivenessFailure(what, st);
+  }
+  readahead_groups_->Inc();
+  host_[&HostCounters::prefetches].Inc(n - 1);
+  // Split transaction: the replies arrive in any order. Each is ACKed as it
+  // arrives, so the group never holds one minipage in service while it waits
+  // for another.
+  MsgHeader own;
+  bool have_own = false;
+  for (size_t i = 0; i < n; ++i) {
+    Result<MsgHeader> r =
+        AwaitReply(slot, gen, RetryTimeoutMs(config_, me_, 0), what, /*poll=*/true);
+    if (!r.ok()) {
+      if (have_own) {
+        break;  // the slot's next wait discards and ACKs the members' late replies
+      }
+      // Timed out or re-routed before the fault's own reply: serve the fault
+      // alone, with the plain path's retries.
+      return FetchForFault(slot, addr, is_write);
+    }
+    const bool mine = r->minipage == next;
+    if ((r->flags & kFlagAbort) != 0) {
+      if (mine) {
+        return FaultLost(what, next);
+      }
+      NoteLost(r->minipage);
+      continue;
+    }
+    SendMsg(LiveManagerOf(r->minipage), AckFor(*r));
+    if (mine) {
+      own = *r;
+      have_own = true;
+    } else {
+      readahead_fetched_->Inc();
+      host_[&HostCounters::prefetch_bytes].Inc(r->has_payload() ? r->pgsize : 0);
+    }
+  }
+  MP_CHECK(have_own) << "read-ahead group of minipage " << next << " ended without its reply";
+  return own;
+}
+
+Status DsmNode::SendGroup(const MsgHeader* reqs, size_t n, size_t* issued) {
+  *issued = 0;
+  while (*issued < n) {
+    const size_t k =
+        config_.batch_coherence ? std::min<size_t>(n - *issued, kMaxBatchRecords) : 1;
+    MP_RETURN_IF_ERROR(TrySendRecords(kManagerHost, reqs + *issued, k));
+    *issued += k;
+  }
   return Status::Ok();
+}
+
+MsgHeader DsmNode::AckFor(const MsgHeader& reply) const {
+  MsgHeader ack;
+  ack.set_type(MsgType::kAck);
+  ack.from = me_;
+  ack.seq = kNoWaitSlot;
+  ack.addr = reply.addr;
+  ack.minipage = reply.minipage;
+  return ack;
+}
+
+void DsmNode::NoteLost(MinipageId id) {
+  std::lock_guard<std::mutex> lock(lost_mu_);
+  lost_minipages_.insert(id);
+}
+
+Status DsmNode::FaultLost(const char* what, MinipageId id) {
+  // The owning shard degraded this minipage: its sole copy died with its
+  // host. Per-minipage error — the rest of the cluster keeps going.
+  NoteLost(id);
+  return LivenessFailure(what, Status::NotFound("minipage " + std::to_string(id) +
+                                                " lost: its only copy died with its host"));
+}
+
+void DsmNode::LearnTranslation(const MsgHeader& reply) {
+  std::lock_guard<std::mutex> lock(xlate_mu_);
+  if (reply.minipage >= xlate_.size()) {
+    xlate_.resize(reply.minipage + 1);
+  }
+  xlate_[reply.minipage] = Translation{reply.privbase, reply.global_addr().view, reply.pgsize};
 }
 
 uint64_t DsmNode::RetryTimeoutMs(const DsmConfig& cfg, HostId host, uint32_t attempt) {
@@ -1077,12 +1193,11 @@ void DsmNode::ForwardToReplica(HostId target, const MsgHeader& fwd) {
     e.fetch_pending = true;
     e.fetch_from = target;
   }
-  if (target == me_ && config_.manager_policy == ManagerPolicy::kSharded) {
+  if (target == me_) {
     // The owning shard holds the serving replica itself. Serve inline from
     // the privileged view instead of a self round trip through the
     // transport — the zero-copy send stays zero-copy and saves two local
-    // messages. (Centralized mode keeps the historical self-send so its
-    // message traces stay bit-compatible.)
+    // messages.
     if (fwd.msg_type() == MsgType::kReadRequest) {
       ServeReadRequest(fwd);
       return;
@@ -1769,10 +1884,7 @@ void DsmNode::HandleReply(const MsgHeader& h) {
   if ((h.flags & kFlagAbort) != 0) {
     // Lost-minipage error reply: no data, no protection change, no ACK —
     // just deliver the verdict to the waiting thread (if any).
-    {
-      std::lock_guard<std::mutex> lock(lost_mu_);
-      lost_minipages_.insert(h.minipage);
-    }
+    NoteLost(h.minipage);
     if (h.seq != kNoWaitSlot) {
       slots_.Post(WaitSlots::SeqSlot(h.seq), h);
     }
@@ -1827,6 +1939,9 @@ void DsmNode::HandleReply(const MsgHeader& h) {
       slots_.Post(WaitSlots::SeqSlot(h.seq), verdict);
     }
     return;
+  }
+  if (config_.enable_ack) {
+    LearnTranslation(h);  // for stream read-ahead, which runs only with the ACK
   }
   if (h.seq == kNoWaitSlot) {
     // Prefetch completion: account and ACK on behalf of the (absent) waiter.
@@ -1925,13 +2040,7 @@ Result<MsgHeader> DsmNode::AwaitReply(uint32_t slot, uint32_t gen, uint64_t time
     const bool is_data = (t == MsgType::kReadReply || t == MsgType::kWriteReply) &&
                          (r->flags & kFlagAbort) == 0;
     if (is_data && (config_.enable_ack || t == MsgType::kWriteReply)) {
-      MsgHeader ack;
-      ack.set_type(MsgType::kAck);
-      ack.from = me_;
-      ack.seq = kNoWaitSlot;
-      ack.addr = r->addr;
-      ack.minipage = r->minipage;
-      SendMsg(LiveManagerOf(ack.minipage), ack);
+      SendMsg(LiveManagerOf(r->minipage), AckFor(*r));
     }
   }
 }

@@ -41,6 +41,7 @@
 #include "src/dsm/config.h"
 #include "src/dsm/directory.h"
 #include "src/dsm/rmw_predictor.h"
+#include "src/dsm/stream_predictor.h"
 #include "src/dsm/wait_slots.h"
 #include "src/multiview/allocator.h"
 #include "src/multiview/minipage.h"
@@ -164,7 +165,11 @@ class DsmNode {
 
   // Status-returning core of OnFault. The deterministic simulator calls it
   // directly so a permanently lost minipage (sole copy died with its host)
-  // surfaces as a per-access kNotFound error instead of a SIGSEGV.
+  // surfaces as a per-access kNotFound error instead of a SIGSEGV. A fault
+  // that continues its instruction's walk over consecutive minipages fetches
+  // the next StreamPredictor::kDepth with it in one group (stream read-ahead,
+  // DESIGN.md §15; off without the ACK, and for calls from outside a fault
+  // handler, whose pc reads 0).
   Status FaultService(uint32_t view, uint64_t offset, bool is_write);
 
   // ---- Membership / recovery ---------------------------------------------
@@ -277,6 +282,31 @@ class DsmNode {
   // ends any read-then-write pattern the write-intent prediction watches.
   uint32_t SyncSlot();
 
+  // Fault path. FetchForFault sends one request for the fault at `addr` and
+  // waits for its reply, re-sending on a membership change or a timeout, then
+  // ACKs it. ReadAhead serves a fault the slot's StreamPredictor says
+  // continues a stream into minipage `next`: when the address does lie in
+  // `next`, it fetches `next` and the members after it whose translations
+  // this host has learned as one split transaction, sets *last to the
+  // group's last id and returns the fault's own reply; otherwise it is
+  // FetchForFault.
+  Result<MsgHeader> FetchForFault(uint32_t slot, uint64_t addr, bool is_write);
+  Result<MsgHeader> ReadAhead(uint32_t slot, uint32_t view, uint64_t offset, bool is_write,
+                              MinipageId next, MinipageId* last);
+  // Sends `n` same-type requests to the MPT host: up to kMaxBatchRecords a
+  // frame with batching on, one message each with it off. Stops at the first
+  // failed send; *issued counts the requests sent.
+  Status SendGroup(const MsgHeader* reqs, size_t n, size_t* issued);
+  // The ACK for data reply `reply`, bound for LiveManagerOf(reply.minipage).
+  MsgHeader AckFor(const MsgHeader& reply) const;
+  // Records that minipage `id` is permanently lost; FaultLost also returns
+  // the faulting access's kNotFound error.
+  void NoteLost(MinipageId id);
+  Status FaultLost(const char* what, MinipageId id);
+  // Stores the translation a reply carries: (view, offset, length) of its
+  // minipage id, which never changes once assigned.
+  void LearnTranslation(const MsgHeader& reply);
+
   // Server thread.
   void ServerLoop();
   PayloadSink MakeServerSink();
@@ -302,7 +332,7 @@ class DsmNode {
   // shard) or hand the translated header to the owning shard.
   void MgrTranslateAndRoute(const MsgHeader& h);
   // Forwards a translated request to the serving replica. When this shard is
-  // itself the replica (sharded mode), serves inline from the privileged
+  // itself the replica (either policy), serves inline from the privileged
   // view instead of bouncing the header through the transport.
   void ForwardToReplica(HostId target, const MsgHeader& fwd);
   void MgrStartService(MsgHeader h);
@@ -494,6 +524,10 @@ class DsmNode {
   // Read faults sent as write requests / marked pcs a re-check unmarked.
   Counter* const rmw_predicted_ = metrics_.GetCounter("dsm.rmw_predicted");
   Counter* const rmw_demoted_ = metrics_.GetCounter("dsm.rmw_demoted");
+  // Faults that read ahead / minipages their groups installed beyond the
+  // faulting one.
+  Counter* const readahead_groups_ = metrics_.GetCounter("dsm.readahead_groups");
+  Counter* const readahead_fetched_ = metrics_.GetCounter("dsm.readahead_fetched");
   // Full fault service, entry to retry.
   Histogram* const read_fault_ns_ = metrics_.GetHistogram("dsm.read_fault_ns");
   Histogram* const write_fault_ns_ = metrics_.GetHistogram("dsm.write_fault_ns");
@@ -605,9 +639,21 @@ class DsmNode {
   std::vector<EpochRecord> epochs_;
   uint32_t epoch_ = 0;
 
-  // Write-intent prediction, one table per wait slot; only the slot's own
-  // thread touches it, in OnFault.
+  // Write-intent prediction and stream read-ahead, one table each per wait
+  // slot; only the slot's own thread touches them, in OnFault and
+  // FaultService.
   RmwPredictor rmw_[WaitSlots::kMaxSlots];
+  StreamPredictor stream_[WaitSlots::kMaxSlots];
+
+  // Minipage translations learned from replies, indexed by id; length 0 =
+  // not learned. Written by the server thread, read by faulting threads.
+  struct Translation {
+    uint64_t offset = 0;
+    uint32_t view = 0;
+    uint32_t length = 0;
+  };
+  std::mutex xlate_mu_;
+  std::vector<Translation> xlate_;  // guarded by xlate_mu_
 };
 
 }  // namespace millipage

@@ -6,6 +6,8 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -926,6 +928,236 @@ TEST(RmwPrediction, ThreadsOfOneHostKeepSeparateTables) {
   EXPECT_EQ(n1.counters().read_faults, uint64_t{1 + kReads});
   EXPECT_EQ(n1.counters().write_faults, 2u);
   EXPECT_EQ(Count(n1, "dsm.rmw_predicted"), 1u);
+}
+
+// ---- Stream read-ahead (src/dsm/stream_predictor.h) ------------------------
+
+TEST(StreamPredictor, ContinuesAStreamOnTheNextMinipageOnly) {
+  StreamPredictor p;
+  constexpr uintptr_t kPc = 0x1000;
+  EXPECT_EQ(p.Next(kPc, /*write=*/false, 0), kInvalidMinipage);
+  p.Record(kPc, /*write=*/false, 7, 0);
+  EXPECT_EQ(p.Next(kPc, /*write=*/false, 0), 8u);
+  EXPECT_EQ(p.Next(kPc + 1, /*write=*/false, 0), kInvalidMinipage) << "another pc";
+  p.Record(kPc, /*write=*/false, 16, 0);  // a group ended on 16
+  EXPECT_EQ(p.Next(kPc, /*write=*/false, 0), 17u);
+}
+
+TEST(StreamPredictor, ASyncCallEndsEveryStream) {
+  StreamPredictor p;
+  p.Record(0x1000, /*write=*/false, 7, /*syncs=*/3);
+  p.Record(0x2000, /*write=*/true, 9, /*syncs=*/3);
+  EXPECT_EQ(p.Next(0x1000, false, 4), kInvalidMinipage);
+  EXPECT_EQ(p.Next(0x2000, true, 4), kInvalidMinipage);
+  EXPECT_EQ(p.Next(0x1000, false, 3), 8u);
+}
+
+TEST(StreamPredictor, ReadAndWriteStreamsOfOnePcAreSeparate) {
+  StreamPredictor p;
+  constexpr uintptr_t kPc = 0x1000;
+  p.Record(kPc, /*write=*/true, 7, 0);
+  EXPECT_EQ(p.Next(kPc, /*write=*/false, 0), kInvalidMinipage) << "a read after a write";
+  p.Record(kPc, /*write=*/false, 20, 0);
+  EXPECT_EQ(p.Next(kPc, /*write=*/true, 0), 8u);
+  EXPECT_EQ(p.Next(kPc, /*write=*/false, 0), 21u);
+}
+
+TEST(StreamPredictor, KeepsTheMostRecentStreamsAndNeverStreamsPcZero) {
+  StreamPredictor p;
+  for (uintptr_t pc = 1; pc <= StreamPredictor::kEntries + 1; ++pc) {
+    p.Record(pc, /*write=*/false, static_cast<MinipageId>(10 * pc), 0);
+  }
+  EXPECT_EQ(p.Next(1, false, 0), kInvalidMinipage) << "the least recent stream was replaced";
+  for (uintptr_t pc = 2; pc <= StreamPredictor::kEntries + 1; ++pc) {
+    EXPECT_EQ(p.Next(pc, false, 0), 10 * pc + 1);
+  }
+  p.Record(0, /*write=*/false, 5, 0);
+  EXPECT_EQ(p.Next(0, false, 0), kInvalidMinipage);
+}
+
+// Cases over a cluster: host 1 reads `n` one-int minipages once (which
+// teaches it their translations), host 0 then writes them all (taking host
+// 1's copies away), and host 1 walks them again as `second_pass` says. Every
+// read goes through LoadInt, so the walk's faults share one pc. Returns host
+// 1's read faults in the second pass.
+template <typename Walk>
+uint64_t SecondPassReadFaults(DsmCluster& cluster, const std::vector<GlobalAddr>& a,
+                              Walk second_pass) {
+  uint64_t before = 0;
+  cluster.RunParallel([&](DsmNode& node, HostId host) {
+    if (host == 1) {
+      for (const GlobalAddr& g : a) {
+        (void)LoadInt(IntAt(node, g));
+      }
+    }
+    node.Barrier();
+    if (host == 0) {
+      for (size_t i = 0; i < a.size(); ++i) {
+        StoreInt(IntAt(node, a[i]), 200 + static_cast<int>(i));
+      }
+    }
+    node.Barrier();
+    if (host == 1) {
+      before = node.counters().read_faults;
+    }
+    second_pass(node, host);
+    node.Barrier();
+  });
+  return cluster.node(1).counters().read_faults - before;
+}
+
+// One instruction's walk over consecutive minipages this host has faulted on
+// before: the first fault after the barrier is plain, the second starts a
+// stream, and from there each fault fetches the next kDepth minipages with
+// it.
+TEST(ReadAhead, SecondPassOverConsecutiveMinipagesFaultsOncePerGroup) {
+  auto cluster = DsmCluster::Create(Cfg(2));
+  ASSERT_TRUE(cluster.ok());
+  constexpr int kN = 64;
+  const std::vector<GlobalAddr> a = AllocInts(**cluster, kN);
+  const uint64_t faults = SecondPassReadFaults(**cluster, a, [&](DsmNode& node, HostId host) {
+    if (host == 1) {
+      for (int i = 0; i < kN; ++i) {
+        EXPECT_EQ(LoadInt(IntAt(node, a[i])), 200 + i);
+      }
+    }
+  });
+  EXPECT_LE(faults, uint64_t{kN / StreamPredictor::kDepth + 2});
+  DsmNode& n1 = (*cluster)->node(1);
+  EXPECT_GE(Count(n1, "dsm.readahead_groups"), 1u);
+  EXPECT_EQ(Count(n1, "dsm.readahead_fetched"), kN - faults);
+  EXPECT_EQ(n1.counters().write_faults, 0u);
+}
+
+// A Barrier or a Lock/Unlock between two faults of the walk ends the stream.
+TEST(ReadAhead, ABarrierOrALockBetweenFaultsNeverReadsAhead) {
+  auto cluster = DsmCluster::Create(Cfg(2));
+  ASSERT_TRUE(cluster.ok());
+  constexpr int kN = 16;
+  const std::vector<GlobalAddr> a = AllocInts(**cluster, kN);
+  const uint64_t faults = SecondPassReadFaults(**cluster, a, [&](DsmNode& node, HostId host) {
+    for (int i = 0; i < kN; ++i) {
+      if (host == 1) {
+        EXPECT_EQ(LoadInt(IntAt(node, a[i])), 200 + i);
+      }
+      if (i % 2 == 0) {
+        node.Barrier();
+      } else if (host == 1) {
+        node.Lock(1);
+        node.Unlock(1);
+      }
+    }
+  });
+  EXPECT_EQ(faults, uint64_t{kN});
+  EXPECT_EQ(Count((*cluster)->node(1), "dsm.readahead_groups"), 0u);
+}
+
+// Only a walk one minipage up continues a stream.
+TEST(ReadAhead, StrideTwoAndDescendingWalksNeverReadAhead) {
+  auto cluster = DsmCluster::Create(Cfg(2));
+  ASSERT_TRUE(cluster.ok());
+  constexpr int kN = 32;
+  const std::vector<GlobalAddr> a = AllocInts(**cluster, kN);
+  const uint64_t faults = SecondPassReadFaults(**cluster, a, [&](DsmNode& node, HostId host) {
+    if (host == 1) {
+      for (int i = 0; i < kN; i += 2) {
+        EXPECT_EQ(LoadInt(IntAt(node, a[i])), 200 + i);
+      }
+    }
+    node.Barrier();
+    if (host == 1) {
+      for (int i = kN - 1; i > 0; i -= 2) {
+        EXPECT_EQ(LoadInt(IntAt(node, a[i])), 200 + i);
+      }
+    }
+  });
+  EXPECT_EQ(faults, uint64_t{kN});
+  EXPECT_EQ(Count((*cluster)->node(1), "dsm.readahead_groups"), 0u);
+}
+
+// Without the ACK nothing holds a member behind its minipage's service, so
+// read-ahead is off, as Prefetch is.
+TEST(ReadAhead, WithoutTheAckNothingReadsAhead) {
+  DsmConfig cfg = Cfg(2);
+  cfg.enable_ack = false;
+  auto cluster = DsmCluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  constexpr int kN = 32;
+  const std::vector<GlobalAddr> a = AllocInts(**cluster, kN);
+  const uint64_t faults = SecondPassReadFaults(**cluster, a, [&](DsmNode& node, HostId host) {
+    if (host == 1) {
+      for (int i = 0; i < kN; ++i) {
+        EXPECT_EQ(LoadInt(IntAt(node, a[i])), 200 + i);
+      }
+    }
+  });
+  EXPECT_EQ(faults, uint64_t{kN});
+  EXPECT_EQ(Count((*cluster)->node(1), "dsm.readahead_groups"), 0u);
+}
+
+// The perfbench probe's shape (perfbench/src/probe.cc): a 128 B and a 4 KB
+// minipage allocated back to back, roles rotating over 4 hosts, and a
+// barrier between every sampled access. All loads and all stores share one
+// pc each here, which is harsher than the probe, whose access sites differ.
+TEST(ReadAhead, TheProbesAccessAndBarrierPatternNeverReadsAhead) {
+  auto cluster = DsmCluster::Create(Cfg(4));
+  ASSERT_TRUE(cluster.ok());
+  GlobalAddr small_addr;
+  GlobalAddr large_addr;
+  (*cluster)->RunOnManager([&](DsmNode& node) {
+    small_addr = *node.SharedMalloc(128);
+    large_addr = *node.SharedMalloc(4096);
+  });
+  std::vector<std::array<HostId, 4>> perms;
+  std::array<HostId, 4> p = {0, 1, 2, 3};
+  do {
+    perms.push_back(p);
+  } while (std::next_permutation(p.begin(), p.end()));
+  (*cluster)->RunParallel([&](DsmNode& node, HostId me) {
+    int* small = IntAt(node, small_addr);
+    int* large = IntAt(node, large_addr);
+    int v = 0;
+    for (int cycle = 0; cycle < 2; ++cycle) {
+      for (const auto& roles : perms) {
+        const auto [a, b, c, d] = roles;
+        if (me == a) {
+          (void)LoadInt(small);
+          (void)LoadInt(large);
+          StoreInt(small, ++v);
+          StoreInt(large, v);
+        }
+        node.Barrier();
+        for (int* at : {small, large}) {
+          if (me == b) {
+            (void)LoadInt(at);
+          }
+          node.Barrier();
+        }
+        if (me == a) {
+          StoreInt(small, ++v);
+        }
+        node.Barrier();
+        for (HostId reader : {b, c, d}) {
+          if (me == reader) {
+            (void)LoadInt(small);
+          }
+          node.Barrier();
+        }
+        if (me == b) {
+          StoreInt(small, ++v);
+        }
+        node.Barrier();
+        if (me == (c != 0 ? c : d)) {
+          node.Lock(1);
+          node.Unlock(1);
+        }
+        node.Barrier();
+      }
+    }
+  });
+  for (uint16_t h = 0; h < 4; ++h) {
+    EXPECT_EQ(Count((*cluster)->node(h), "dsm.readahead_groups"), 0u) << "host " << h;
+  }
 }
 
 }  // namespace
