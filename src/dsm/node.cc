@@ -392,13 +392,15 @@ void DsmNode::Prefetch(GlobalAddr a) {
 }
 
 size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
-  const uint32_t slot = ThreadSlot();
-  const uint32_t gen = NextGen(slot);  // one generation covers the whole group
+  if (!config_.enable_ack) {
+    return 0;  // without read serialization a group member's copy could be stale
+  }
   // Build the request list first, deduped by (view, vpage): protection only
   // flips on reply, so the presence check alone cannot filter duplicates
   // within one group. A view holds at most one minipage per page, so the
-  // vpage key collapses same-minipage duplicates — except for minipages that
-  // span pages, which the ACK-flush below handles.
+  // vpage key collapses same-minipage duplicates; a minipage that spans pages
+  // is requested once per page, and its second request is served after the
+  // first reply's ACK.
   std::vector<MsgHeader> reqs;
   std::set<std::pair<uint32_t, uint64_t>> requested;
   for (size_t i = 0; i < count; ++i) {
@@ -412,69 +414,16 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
     MsgHeader h;
     h.set_type(MsgType::kReadRequest);
     h.from = me_;
-    h.seq = WaitSlots::MakeSeq(slot, gen);
     h.addr = addrs[i].Pack();
     reqs.push_back(h);
   }
-  // Issue the whole group: untranslated requests for the MPT host, all
-  // carrying the same slot/generation, batched into shared frames.
-  size_t issued = 0;
-  if (const Status st = SendGroup(reqs.data(), reqs.size(), &issued); !st.ok()) {
-    (void)LivenessFailure("FetchGroup", st);
+  size_t fetched = 0;
+  const Result<MsgHeader> r = FetchSplit(ThreadSlot(), reqs.data(), reqs.size(),
+                                         kInvalidMinipage, "FetchGroup", &fetched);
+  if (!r.ok()) {
+    (void)LivenessFailure("FetchGroup", r.status());
   }
-  host_[&HostCounters::prefetches].Inc(issued);
-  // Split transaction: collect the replies (any order) and ACK each one so
-  // the manager releases the minipages. ACKs accumulate per owning shard and
-  // flush as batched frames — but with batching off every ACK flushes at
-  // once, and so does a reply for a page-spanning minipage: its other pages'
-  // requests were not deduped above and are queued at the manager behind
-  // this very ACK. Each reply gets its own
-  // deadline; on failure the group is abandoned (outstanding replies become
-  // stale by generation and are discarded + ACKed by the next wait on this
-  // slot), with any accumulated ACKs flushed on the way out.
-  std::vector<std::pair<HostId, std::vector<MsgHeader>>> acks;
-  const auto flush_acks = [&] {
-    for (auto& [to, items] : acks) {
-      if (!items.empty()) {
-        LogSendFailure(to, items[0], TrySendRecords(to, items.data(), items.size()));
-        items.clear();
-      }
-    }
-  };
-  size_t collected = 0;
-  for (size_t i = 0; i < issued; ++i) {
-    Result<MsgHeader> reply =
-        AwaitReply(slot, gen, config_.request_timeout_ms, "FetchGroup", /*poll=*/true);
-    if (!reply.ok()) {
-      flush_acks();
-      (void)LivenessFailure("FetchGroup", reply.status());
-      return collected;
-    }
-    if ((reply->flags & kFlagAbort) != 0) {
-      NoteLost(reply->minipage);  // sole copy died: per-id error, no service to ACK
-      continue;
-    }
-    collected++;
-    host_[&HostCounters::prefetch_bytes].Inc(reply->has_payload() ? reply->pgsize : 0);
-    if (config_.enable_ack) {
-      const MsgHeader ack = AckFor(*reply);
-      const HostId to = LiveManagerOf(ack.minipage);
-      auto it = std::find_if(acks.begin(), acks.end(),
-                             [&](const auto& p) { return p.first == to; });
-      if (it == acks.end()) {
-        acks.emplace_back(to, std::vector<MsgHeader>{});
-        it = acks.end() - 1;
-      }
-      it->second.push_back(ack);
-      const bool spans_pages =
-          reply->privbase / PageSize() != (reply->privbase + reply->pgsize - 1) / PageSize();
-      if (!config_.batch_coherence || spans_pages || it->second.size() >= kMaxBatchRecords) {
-        flush_acks();
-      }
-    }
-  }
-  flush_acks();
-  return collected;
+  return fetched;
 }
 
 void DsmNode::PushToAll(GlobalAddr a) {
@@ -638,20 +587,32 @@ Result<MsgHeader> DsmNode::ReadAhead(uint32_t slot, uint32_t view, uint64_t offs
     return FetchForFault(slot, addr, is_write);  // every member is present
   }
   const char* const what = is_write ? "write fault" : "read fault";
-  const uint32_t gen = NextGen(slot);
+  readahead_groups_->Inc();
+  size_t fetched = 0;
+  const Result<MsgHeader> own = FetchSplit(slot, reqs, n, next, what, &fetched);
+  readahead_fetched_->Inc(fetched);
+  if (!own.ok()) {
+    // Not sent, or timed out or re-routed before the fault's own reply: serve
+    // the fault alone, with the plain path's retries.
+    return FetchForFault(slot, addr, is_write);
+  }
+  if ((own->flags & kFlagAbort) != 0) {
+    return FaultLost(what, next);
+  }
+  return own;
+}
+
+Result<MsgHeader> DsmNode::FetchSplit(uint32_t slot, MsgHeader* reqs, size_t n, MinipageId own,
+                                      const char* what, size_t* fetched) {
+  const uint32_t gen = NextGen(slot);  // one generation covers the whole group
   for (size_t i = 0; i < n; ++i) {
     reqs[i].seq = WaitSlots::MakeSeq(slot, gen);
   }
-  size_t issued = 0;
-  if (const Status st = SendGroup(reqs, n, &issued); !st.ok()) {
-    return LivenessFailure(what, st);
-  }
-  readahead_groups_->Inc();
-  host_[&HostCounters::prefetches].Inc(n - 1);
-  // Split transaction: the replies arrive in any order. Each is ACKed as it
-  // arrives, so the group never holds one minipage in service while it waits
-  // for another.
-  MsgHeader own;
+  MP_RETURN_IF_ERROR(SendGroup(reqs, n));
+  host_[&HostCounters::prefetches].Inc(own == kInvalidMinipage ? n : n - 1);
+  // The replies arrive in any order. Each is ACKed as it arrives, so the
+  // group never holds one minipage in service while it waits for another.
+  MsgHeader own_reply;
   bool have_own = false;
   for (size_t i = 0; i < n; ++i) {
     Result<MsgHeader> r =
@@ -660,38 +621,35 @@ Result<MsgHeader> DsmNode::ReadAhead(uint32_t slot, uint32_t view, uint64_t offs
       if (have_own) {
         break;  // the slot's next wait discards and ACKs the members' late replies
       }
-      // Timed out or re-routed before the fault's own reply: serve the fault
-      // alone, with the plain path's retries.
-      return FetchForFault(slot, addr, is_write);
+      return r.status();
     }
-    const bool mine = r->minipage == next;
+    const bool is_own = r->minipage == own;
     if ((r->flags & kFlagAbort) != 0) {
-      if (mine) {
-        return FaultLost(what, next);
+      if (is_own) {
+        return *r;  // the fault's own minipage is lost: the caller reports it
       }
-      NoteLost(r->minipage);
+      NoteLost(r->minipage);  // sole copy died: per-id error, no service to ACK
       continue;
     }
     SendMsg(LiveManagerOf(r->minipage), AckFor(*r));
-    if (mine) {
-      own = *r;
+    if (is_own) {
+      own_reply = *r;
       have_own = true;
     } else {
-      readahead_fetched_->Inc();
+      (*fetched)++;
       host_[&HostCounters::prefetch_bytes].Inc(r->has_payload() ? r->pgsize : 0);
     }
   }
-  MP_CHECK(have_own) << "read-ahead group of minipage " << next << " ended without its reply";
-  return own;
+  MP_CHECK(have_own || own == kInvalidMinipage)
+      << "group of minipage " << own << " ended without its reply";
+  return own_reply;
 }
 
-Status DsmNode::SendGroup(const MsgHeader* reqs, size_t n, size_t* issued) {
-  *issued = 0;
-  while (*issued < n) {
-    const size_t k =
-        config_.batch_coherence ? std::min<size_t>(n - *issued, kMaxBatchRecords) : 1;
-    MP_RETURN_IF_ERROR(TrySendRecords(kManagerHost, reqs + *issued, k));
-    *issued += k;
+Status DsmNode::SendGroup(const MsgHeader* reqs, size_t n) {
+  for (size_t sent = 0; sent < n;) {
+    const size_t k = config_.batch_coherence ? std::min<size_t>(n - sent, kMaxBatchRecords) : 1;
+    MP_RETURN_IF_ERROR(TrySendRecords(kManagerHost, reqs + sent, k));
+    sent += k;
   }
   return Status::Ok();
 }

@@ -141,9 +141,12 @@ class DsmNode {
   // copies of every minipage containing one of `addrs` as one batched,
   // split-transaction operation — all requests are issued before any reply
   // is awaited, so the fetch latencies pipeline instead of serializing as
-  // they would through individual faults. After the call the group is
-  // readable at fine granularity; writes still operate per minipage.
-  // Returns the number of minipages actually fetched.
+  // they would through individual faults. Each reply is ACKed as it
+  // arrives. After the call the group is readable at fine granularity;
+  // writes still operate per minipage. Returns the number of minipages
+  // actually fetched: 0 when the ACK is disabled (`enable_ack` false), where
+  // nothing would hold a member behind its minipage's service, as for
+  // Prefetch.
   size_t FetchGroup(const GlobalAddr* addrs, size_t count);
 
   // Pushes readable copies of the minipage containing `a` to all hosts (the
@@ -284,19 +287,35 @@ class DsmNode {
 
   // Fault path. FetchForFault sends one request for the fault at `addr` and
   // waits for its reply, re-sending on a membership change or a timeout, then
-  // ACKs it. ReadAhead serves a fault the slot's StreamPredictor says
-  // continues a stream into minipage `next`: when the address does lie in
-  // `next`, it fetches `next` and the members after it whose translations
-  // this host has learned as one split transaction, sets *last to the
-  // group's last id and returns the fault's own reply; otherwise it is
-  // FetchForFault.
+  // ACKs it (a read only with the ACK on; without it, an invalidation that
+  // crosses the reply poisons it through inflight_). It keeps its own loop:
+  // its retries and that ACK-less mode are what FetchSplit leaves out.
+  // ReadAhead serves a fault the slot's StreamPredictor says continues a
+  // stream into minipage `next`: when the address does lie in `next`, it
+  // fetches `next` and the members after it whose translations this host has
+  // learned through FetchSplit, sets *last to the group's last id and returns
+  // the fault's own reply; otherwise, or when the group fails before that
+  // reply arrives, it is FetchForFault.
   Result<MsgHeader> FetchForFault(uint32_t slot, uint64_t addr, bool is_write);
   Result<MsgHeader> ReadAhead(uint32_t slot, uint32_t view, uint64_t offset, bool is_write,
                               MinipageId next, MinipageId* last);
+  // One split transaction on `slot`, the send-and-collect path of FetchGroup
+  // and ReadAhead: sends reqs[0..n) with one generation through SendGroup,
+  // then collects the replies in any order and ACKs each as it arrives, so
+  // the group never holds one minipage in service while it waits for
+  // another. `own` is the fault's own minipage (kInvalidMinipage for a group
+  // without one), whose reply is returned, abort-flagged when it is lost.
+  // Every other member counts in host.prefetches and, once installed, in
+  // host.prefetch_bytes and *fetched; a lost one is recorded (NoteLost). A
+  // failed send, or a failed wait before the own reply (any failed wait
+  // without one), ends the group with that error; the members' late replies
+  // are discarded and ACKed by the slot's next wait.
+  Result<MsgHeader> FetchSplit(uint32_t slot, MsgHeader* reqs, size_t n, MinipageId own,
+                               const char* what, size_t* fetched);
   // Sends `n` same-type requests to the MPT host: up to kMaxBatchRecords a
   // frame with batching on, one message each with it off. Stops at the first
-  // failed send; *issued counts the requests sent.
-  Status SendGroup(const MsgHeader* reqs, size_t n, size_t* issued);
+  // failed send.
+  Status SendGroup(const MsgHeader* reqs, size_t n);
   // The ACK for data reply `reply`, bound for LiveManagerOf(reply.minipage).
   MsgHeader AckFor(const MsgHeader& reply) const;
   // Records that minipage `id` is permanently lost; FaultLost also returns

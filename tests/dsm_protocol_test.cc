@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -202,6 +203,94 @@ TEST(Protocol, FetchGroupWithDuplicatesAndWriterInterference) {
     EXPECT_EQ(a[1], 99);
     node.Barrier();
   });
+}
+
+// Without the ACK nothing holds a group member behind its minipage's service,
+// so an invalidation crossing a member's reply could leave a stale readable
+// copy: FetchGroup fetches nothing, as Prefetch does, and the reads fault.
+TEST(Protocol, FetchGroupWithoutTheAckFetchesNothing) {
+  DsmConfig cfg = Cfg(2);
+  cfg.enable_ack = false;
+  auto cluster = DsmCluster::Create(cfg);
+  ASSERT_TRUE(cluster.ok());
+  std::vector<GlobalPtr<int>> cells;
+  (*cluster)->RunOnManager([&](DsmNode&) {
+    for (int i = 0; i < 12; ++i) {
+      cells.push_back(SharedAlloc<int>(8));
+      cells.back()[0] = 10 * i;
+    }
+  });
+  (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+    if (host == 1) {
+      std::vector<GlobalAddr> addrs;
+      for (const auto& c : cells) {
+        addrs.push_back(c.addr());
+      }
+      EXPECT_EQ(node.FetchGroup(addrs.data(), addrs.size()), 0u);
+      EXPECT_EQ(node.counters().prefetches, 0u);
+      for (int i = 0; i < 12; ++i) {
+        EXPECT_EQ(cells[static_cast<size_t>(i)][0], 10 * i);
+      }
+      EXPECT_EQ(node.counters().read_faults, 12u);
+      EXPECT_EQ(node.counters().prefetch_bytes, 0u);
+    }
+    node.Barrier();
+  });
+}
+
+// Two hosts fetch the same 80 one-int minipages and one two-page minipage at
+// once, in opposite orders, each in a group wider than one 64-record frame.
+// Every reply is ACKed as it arrives, so neither group holds a minipage the
+// other is queued behind; a stall would run a reply wait out to the (short)
+// request timeout and return short. The two-page minipage is requested once
+// per page and its second request is served after the first reply's ACK, so
+// it counts twice.
+TEST(Protocol, OpposedFetchGroupsWiderThanAFrameBothComplete) {
+  for (const ManagerPolicy policy : {ManagerPolicy::kCentralized, ManagerPolicy::kSharded}) {
+    SCOPED_TRACE(policy == ManagerPolicy::kSharded ? "sharded" : "centralized");
+    DsmConfig cfg = Cfg(3);
+    cfg.manager_policy = policy;
+    cfg.request_timeout_ms = 1000;
+    auto cluster = DsmCluster::Create(cfg);
+    ASSERT_TRUE(cluster.ok());
+    constexpr int kInts = 80;
+    const size_t per_page = PageSize() / sizeof(int);
+    std::vector<GlobalPtr<int>> cells;  // one per address, in fetch order
+    std::vector<int> want;
+    (*cluster)->RunOnManager([&](DsmNode&) {
+      const auto add = [&](GlobalPtr<int> c, int v) {
+        *c = v;
+        cells.push_back(c);
+        want.push_back(v);
+      };
+      for (int i = 0; i < kInts; ++i) {
+        add(SharedAlloc<int>(1), 100 + i);
+        if (i == kInts / 2) {
+          const GlobalPtr<int> two_pages = SharedAlloc<int>(2 * per_page);
+          add(two_pages, 7);
+          add(two_pages + static_cast<ptrdiff_t>(per_page), 8);
+        }
+      }
+    });
+    (*cluster)->RunParallel([&](DsmNode& node, HostId host) {
+      node.Barrier();
+      if (host != 0) {
+        std::vector<GlobalAddr> addrs;
+        for (const auto& c : cells) {
+          addrs.push_back(c.addr());
+        }
+        if (host == 2) {
+          std::reverse(addrs.begin(), addrs.end());
+        }
+        EXPECT_EQ(node.FetchGroup(addrs.data(), addrs.size()), cells.size()) << "host " << host;
+        for (size_t i = 0; i < cells.size(); ++i) {
+          EXPECT_EQ(*cells[i], want[i]) << "host " << host << " cell " << i;
+        }
+        EXPECT_EQ(node.counters().read_faults, 0u) << "host " << host;
+      }
+      node.Barrier();
+    });
+  }
 }
 
 TEST(Protocol, PushUpdateDistributesReadCopies) {
@@ -1158,6 +1247,127 @@ TEST(ReadAhead, TheProbesAccessAndBarrierPatternNeverReadsAhead) {
   for (uint16_t h = 0; h < 4; ++h) {
     EXPECT_EQ(Count((*cluster)->node(h), "dsm.readahead_groups"), 0u) << "host " << h;
   }
+}
+
+// Three nodes whose application views take real faults, each behind its own
+// FaultyTransport so a test can delay one host's replies in flight (a
+// DsmCluster's transport cannot be scripted). Test threads bind to a host by
+// touching its views: the fault callback finds the node by address.
+class ScriptedTrio {
+ public:
+  explicit ScriptedTrio(const DsmConfig& cfg) {
+    MP_CHECK_OK(FaultHandler::Instance().Install(cfg.fault_backend));
+    for (HostId h = 0; h < 3; ++h) {
+      t_[h] = std::make_unique<FaultyTransport>(&inner_);
+      Result<std::unique_ptr<DsmNode>> r = DsmNode::Create(cfg, h, t_[h].get());
+      MP_CHECK(r.ok()) << r.status().ToString();
+      n_[h] = std::move(*r);
+    }
+    fault_slot_ = FaultHandler::Instance().Register(&Dispatch, this);
+    MP_CHECK(fault_slot_ >= 0);
+    for (auto& n : n_) {
+      n->Start();
+    }
+  }
+  ~ScriptedTrio() {
+    for (auto& n : n_) {
+      n->BeginShutdown();
+    }
+    for (int h = 2; h >= 0; --h) {
+      n_[h]->Stop();
+    }
+    FaultHandler::Instance().Unregister(fault_slot_);
+  }
+
+  DsmNode& node(HostId h) { return *n_[h]; }
+  FaultyTransport& transport(HostId h) { return *t_[h]; }
+
+ private:
+  static bool Dispatch(void* ctx, void* addr, bool is_write) {
+    const auto a = reinterpret_cast<uintptr_t>(addr);
+    for (auto& n : static_cast<ScriptedTrio*>(ctx)->n_) {
+      ViewSet& vs = n->views();
+      for (uint32_t v = 0; v < vs.num_app_views(); ++v) {
+        const auto base = reinterpret_cast<uintptr_t>(vs.app_base(v));
+        if (a >= base && a < base + vs.object_size()) {
+          return n->OnFault(v, a - base, is_write);
+        }
+      }
+    }
+    return false;
+  }
+
+  InProcTransport inner_{3};
+  std::unique_ptr<FaultyTransport> t_[3];
+  std::unique_ptr<DsmNode> n_[3];
+  int fault_slot_ = -1;
+};
+
+void OnThread(const std::function<void()>& fn) { std::thread(fn).join(); }
+
+// A group member's reply that lands after its reply wait's deadline. Host 2
+// last wrote member a[3], and its first read reply to host 1 limps for
+// 500 ms, past the 300 ms request timeout. The group's fault returns its own
+// data at the deadline; the late reply stays behind, and the minipage stays
+// in service at its shard until host 1 ACKs it. Host 1's next wait, for a
+// minipage host 2 also serves (so its reply follows the late one), discards
+// and ACKs the late reply, and host 0's write of a[3] then completes within
+// one request timeout.
+TEST(ReadAhead, AMemberReplyPastTheDeadlineIsAckedByTheSlotsNextWait) {
+  DsmConfig cfg = Cfg(3);
+  cfg.request_timeout_ms = 300;
+  cfg.max_request_retries = 2;
+  cfg.sync_timeout_ms = 5000;
+  ScriptedTrio trio(cfg);
+  DsmNode& n0 = trio.node(0);
+  DsmNode& n1 = trio.node(1);
+  DsmNode& n2 = trio.node(2);
+  constexpr int kN = 12;
+  constexpr int kLate = 3;
+  std::vector<GlobalAddr> a;
+  for (int i = 0; i < kN; ++i) {
+    a.push_back(*n0.SharedMalloc(sizeof(int)));
+    StoreInt(IntAt(n0, a[i]), 100 + i);
+  }
+  const GlobalAddr y = *n0.SharedMalloc(sizeof(int));
+  StoreInt(IntAt(n0, y), 7);
+  OnThread([&] {  // host 1 learns the translations
+    for (int i = 0; i < kN; ++i) {
+      EXPECT_EQ(LoadInt(IntAt(n1, a[i])), 100 + i);
+    }
+  });
+  OnThread([&] {  // host 2 takes a[kLate] and y
+    StoreInt(IntAt(n2, a[kLate]), 555);
+    StoreInt(IntAt(n2, y), 77);
+  });
+  for (int i = 0; i < kN; ++i) {
+    if (i != kLate) {
+      StoreInt(IntAt(n0, a[i]), 200 + i);
+    }
+  }
+  constexpr std::chrono::microseconds kDelay{500 * 1000};
+  trio.transport(2).DelaySends(1, MsgType::kReadReply, kDelay.count(), /*count=*/1);
+  OnThread([&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(LoadInt(IntAt(n1, a[0])), 200);
+    EXPECT_EQ(LoadInt(IntAt(n1, a[1])), 201);  // the stream's group, a[1] to a[9]
+    EXPECT_EQ(Count(n1, "dsm.readahead_groups"), 1u);
+    EXPECT_EQ(n1.stale_replies(), 0u);
+    // Past the delay, so y's reply (queued behind the late one on host 2's
+    // server thread) does not itself run into the deadline.
+    std::this_thread::sleep_until(t0 + kDelay);
+    EXPECT_EQ(*static_cast<volatile int*>(IntAt(n1, y)), 77);
+    EXPECT_GE(n1.stale_replies(), 1u) << "the late member reply was not discarded";
+  });
+  const uint64_t t_write = MonotonicNowNs();
+  ASSERT_TRUE(n0.FaultService(a[kLate].view, a[kLate].offset, /*is_write=*/true).ok());
+  EXPECT_LT((MonotonicNowNs() - t_write) / 1000000, cfg.request_timeout_ms)
+      << "a[kLate] stayed in service";
+  StoreInt(IntAt(n0, a[kLate]), 999);
+  EXPECT_EQ(n0.timeout_retries(), 0u);
+  OnThread([&] { EXPECT_EQ(LoadInt(IntAt(n1, a[kLate])), 999); });
+  EXPECT_EQ(n1.timeout_retries(), 0u);
+  EXPECT_TRUE(n0.health().ok() && n1.health().ok() && n2.health().ok());
 }
 
 }  // namespace
