@@ -5,11 +5,13 @@
 // deployments run a single shard on host 0; sharded deployments
 // (ManagerPolicy::kSharded) run one per host, holding exactly the ids that
 // hash to it. All state in a shard is touched exclusively by its host's
-// server thread, so no locking is needed.
+// server thread, so no locking is needed; the three liveness gauges are
+// published to other threads as relaxed atomics.
 
 #ifndef SRC_DSM_DIRECTORY_H_
 #define SRC_DSM_DIRECTORY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -42,7 +44,7 @@ struct SurvivorPoll {
 struct DirEntry {
   HostSet copyset;          // hosts holding a copy
   bool writable = false;    // single copyset member holds ReadWrite
-  bool in_service = false;  // a request is being serviced (until ACK)
+  bool in_service = false;  // a request is being serviced (until ACK); see SetInService
   HostId in_service_for = 0;      // requester of the in-service transaction
   // The in-service request itself, kept so repair can re-issue the
   // transaction against a surviving replica when its data source dies.
@@ -143,7 +145,8 @@ struct BarrierState {
   uint32_t generation = 0;
   // Hosts with a queued entry: duplicate entries (post-failover re-sends)
   // collapse instead of double-counting, and the DSM barrier's release
-  // re-evaluates against the live-host set when membership shrinks.
+  // re-evaluates against the live-host set when membership shrinks. Changed
+  // only through Directory::Arrive/Depart.
   HostSet arrived_set;
   std::vector<MsgHeader> waiters;
   // Adopted-barrier generation probe: live hosts' completed-round counts seed
@@ -164,8 +167,28 @@ class Directory {
     MP_CHECK(id != kInvalidMinipage) << "directory access with invalid minipage id";
     if (id >= entries_.size()) {
       entries_.resize(id + 1);
+      num_entries_.store(entries_.size(), std::memory_order_relaxed);
     }
     return entries_[id];
+  }
+
+  // Flips `e.in_service`, keeping InServiceCount current.
+  void SetInService(DirEntry& e, bool on) {
+    if (e.in_service != on) {
+      e.in_service = on;
+      const size_t n = in_service_.load(std::memory_order_relaxed);
+      in_service_.store(on ? n + 1 : n - 1, std::memory_order_relaxed);
+    }
+  }
+
+  // Adds `h` to / removes it from the barrier's arrived set.
+  void Arrive(HostId h) {
+    barrier_.arrived_set.Add(h);
+    arrived_.store(barrier_.arrived_set.Count(), std::memory_order_relaxed);
+  }
+  void Depart(HostId h) {
+    barrier_.arrived_set.Remove(h);
+    arrived_.store(barrier_.arrived_set.Count(), std::memory_order_relaxed);
   }
 
   LockEntry& Lock(uint32_t lock_id) {
@@ -186,25 +209,23 @@ class Directory {
   // host routes, so this is nonzero only on host 0, only when sharded).
   Counter& remote_routed() const { return *remote_routed_; }
 
-  size_t num_entries() const { return entries_.size(); }
+  // The liveness gauges, safe to read on any thread: minipage ids with
+  // entries so far, minipages in service (their ACK or invalidation round is
+  // outstanding), and hosts arrived at the open barrier.
+  size_t num_entries() const { return num_entries_.load(std::memory_order_relaxed); }
+  size_t InServiceCount() const { return in_service_.load(std::memory_order_relaxed); }
+  int ArrivedCount() const { return arrived_.load(std::memory_order_relaxed); }
   // Lock ids with table slots so far (repair iterates [0, num_locks)).
   size_t num_locks() const { return locks_.size(); }
-
-  // Minipages currently in service (their ACK or invalidation round is
-  // outstanding). Read from liveness diagnostics off the manager thread, so
-  // the count is a best-effort racy snapshot.
-  size_t InServiceCount() const {
-    size_t n = 0;
-    for (const DirEntry& e : entries_) {
-      n += e.in_service ? 1 : 0;
-    }
-    return n;
-  }
 
  private:
   std::vector<DirEntry> entries_;
   std::vector<LockEntry> locks_;
   BarrierState barrier_;
+  // Written by the server thread only.
+  std::atomic<size_t> num_entries_{0};
+  std::atomic<size_t> in_service_{0};
+  std::atomic<int> arrived_{0};
   Counter* const requests_served_;
   Counter* const invalidation_rounds_;
   Counter* const mpt_lookups_;

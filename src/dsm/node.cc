@@ -400,7 +400,7 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
   // within one group. A view holds at most one minipage per page, so the
   // vpage key collapses same-minipage duplicates; a minipage that spans pages
   // is requested once per page, and its second request is served after the
-  // first reply's ACK.
+  // first reply's ACK, so it is counted once by id.
   std::vector<MsgHeader> reqs;
   std::set<std::pair<uint32_t, uint64_t>> requested;
   for (size_t i = 0; i < count; ++i) {
@@ -417,13 +417,21 @@ size_t DsmNode::FetchGroup(const GlobalAddr* addrs, size_t count) {
     h.addr = addrs[i].Pack();
     reqs.push_back(h);
   }
-  size_t fetched = 0;
+  if (reqs.empty()) {
+    return 0;
+  }
+  host_[&HostCounters::prefetches].Inc(reqs.size());
+  std::vector<MinipageId> ids;
   const Result<MsgHeader> r = FetchSplit(ThreadSlot(), reqs.data(), reqs.size(),
-                                         kInvalidMinipage, "FetchGroup", &fetched);
+                                         RetryTimeoutMs(config_, me_, 0), "FetchGroup", &ids);
   if (!r.ok()) {
     (void)LivenessFailure("FetchGroup", r.status());
+  } else if ((r->flags & kFlagAbort) == 0) {
+    ids.push_back(r->minipage);
+    host_[&HostCounters::prefetch_bytes].Inc(r->has_payload() ? r->pgsize : 0);
   }
-  return fetched;
+  std::sort(ids.begin(), ids.end());
+  return static_cast<size_t>(std::unique(ids.begin(), ids.end()) - ids.begin());
 }
 
 void DsmNode::PushToAll(GlobalAddr a) {
@@ -503,30 +511,20 @@ Result<MsgHeader> DsmNode::FetchForFault(uint32_t slot, uint64_t addr, bool is_w
   // retried up to max_request_retries before the fault fails. Retries pace
   // out with seeded exponential backoff (RetryTimeoutMs); a membership kick
   // re-sends immediately without consuming an attempt.
-  MsgHeader reply;
+  MsgHeader h;
+  h.set_type(is_write ? MsgType::kWriteRequest : MsgType::kReadRequest);
+  h.from = me_;
+  h.addr = addr;
+  std::vector<MinipageId> no_members;
   uint32_t timeouts = 0;
   for (;;) {
-    const uint32_t gen = NextGen(slot);
-    MsgHeader h;
-    h.set_type(is_write ? MsgType::kWriteRequest : MsgType::kReadRequest);
-    h.from = me_;
-    h.seq = WaitSlots::MakeSeq(slot, gen);
-    h.addr = addr;
-    if (!config_.enable_ack) {
-      inflight_[slot].poisoned.store(false, std::memory_order_relaxed);
-      inflight_[slot].addr.store(h.addr, std::memory_order_release);
-    }
-    if (Status st = TrySendMsg(kManagerHost, h); !st.ok()) {
-      return LivenessFailure(what, st);
-    }
     const uint64_t attempt_timeout_ms = RetryTimeoutMs(config_, me_, timeouts);
-    Result<MsgHeader> r = AwaitReply(slot, gen, attempt_timeout_ms, what, /*poll=*/true);
+    Result<MsgHeader> r = FetchSplit(slot, &h, 1, attempt_timeout_ms, what, &no_members);
     if (r.ok()) {
       if ((r->flags & kFlagAbort) != 0) {
         return FaultLost(what, r->minipage);
       }
-      reply = *r;
-      break;
+      return r;
     }
     if (r.status().code() == StatusCode::kFailedPrecondition) {
       continue;  // membership changed: re-route against the new live set
@@ -541,10 +539,6 @@ Result<MsgHeader> DsmNode::FetchForFault(uint32_t slot, uint64_t addr, bool is_w
                   << attempt_timeout_ms << " ms (attempt " << timeouts << "/"
                   << config_.max_request_retries + 1 << "); re-sending";
   }
-  if (config_.enable_ack || is_write) {
-    SendMsg(LiveManagerOf(reply.minipage), AckFor(reply));
-  }
-  return reply;
 }
 
 Result<MsgHeader> DsmNode::ReadAhead(uint32_t slot, uint32_t view, uint64_t offset,
@@ -588,9 +582,11 @@ Result<MsgHeader> DsmNode::ReadAhead(uint32_t slot, uint32_t view, uint64_t offs
   }
   const char* const what = is_write ? "write fault" : "read fault";
   readahead_groups_->Inc();
-  size_t fetched = 0;
-  const Result<MsgHeader> own = FetchSplit(slot, reqs, n, next, what, &fetched);
-  readahead_fetched_->Inc(fetched);
+  host_[&HostCounters::prefetches].Inc(n - 1);
+  std::vector<MinipageId> members;
+  const Result<MsgHeader> own =
+      FetchSplit(slot, reqs, n, RetryTimeoutMs(config_, me_, 0), what, &members);
+  readahead_fetched_->Inc(members.size());
   if (!own.ok()) {
     // Not sent, or timed out or re-routed before the fault's own reply: serve
     // the fault alone, with the plain path's retries.
@@ -602,47 +598,42 @@ Result<MsgHeader> DsmNode::ReadAhead(uint32_t slot, uint32_t view, uint64_t offs
   return own;
 }
 
-Result<MsgHeader> DsmNode::FetchSplit(uint32_t slot, MsgHeader* reqs, size_t n, MinipageId own,
-                                      const char* what, size_t* fetched) {
+Result<MsgHeader> DsmNode::FetchSplit(uint32_t slot, MsgHeader* reqs, size_t n,
+                                      uint64_t timeout_ms, const char* what,
+                                      std::vector<MinipageId>* members) {
   const uint32_t gen = NextGen(slot);  // one generation covers the whole group
   for (size_t i = 0; i < n; ++i) {
     reqs[i].seq = WaitSlots::MakeSeq(slot, gen);
   }
+  if (!config_.enable_ack) {
+    // Only a lone fault fetches without the ACK: an invalidation that
+    // crosses its reply poisons it (HandleInvalidateRequest).
+    inflight_[slot].poisoned.store(false, std::memory_order_relaxed);
+    inflight_[slot].addr.store(reqs[0].addr, std::memory_order_release);
+  }
   MP_RETURN_IF_ERROR(SendGroup(reqs, n));
-  host_[&HostCounters::prefetches].Inc(own == kInvalidMinipage ? n : n - 1);
-  // The replies arrive in any order. Each is ACKed as it arrives, so the
-  // group never holds one minipage in service while it waits for another.
-  MsgHeader own_reply;
+  // The replies arrive in any order, each installed and ACKed by the server
+  // thread (HandleReply); a reply keeps its request's addr.
+  MsgHeader own;
   bool have_own = false;
   for (size_t i = 0; i < n; ++i) {
-    Result<MsgHeader> r =
-        AwaitReply(slot, gen, RetryTimeoutMs(config_, me_, 0), what, /*poll=*/true);
+    Result<MsgHeader> r = AwaitReply(slot, gen, timeout_ms, what, /*poll=*/true);
     if (!r.ok()) {
       if (have_own) {
-        break;  // the slot's next wait discards and ACKs the members' late replies
+        break;  // a member's late reply is installed and ACKed all the same
       }
       return r.status();
     }
-    const bool is_own = r->minipage == own;
-    if ((r->flags & kFlagAbort) != 0) {
-      if (is_own) {
-        return *r;  // the fault's own minipage is lost: the caller reports it
-      }
-      NoteLost(r->minipage);  // sole copy died: per-id error, no service to ACK
-      continue;
-    }
-    SendMsg(LiveManagerOf(r->minipage), AckFor(*r));
-    if (is_own) {
-      own_reply = *r;
+    if (r->addr == reqs[0].addr) {
+      own = *r;
       have_own = true;
-    } else {
-      (*fetched)++;
+    } else if ((r->flags & kFlagAbort) == 0) {
+      members->push_back(r->minipage);
       host_[&HostCounters::prefetch_bytes].Inc(r->has_payload() ? r->pgsize : 0);
     }
   }
-  MP_CHECK(have_own || own == kInvalidMinipage)
-      << "group of minipage " << own << " ended without its reply";
-  return own_reply;
+  MP_CHECK(have_own) << what << ": group ended without its first request's reply";
+  return own;
 }
 
 Status DsmNode::SendGroup(const MsgHeader* reqs, size_t n) {
@@ -654,9 +645,10 @@ Status DsmNode::SendGroup(const MsgHeader* reqs, size_t n) {
   return Status::Ok();
 }
 
-MsgHeader DsmNode::AckFor(const MsgHeader& reply) const {
+MsgHeader DsmNode::AckFor(const MsgHeader& reply, uint8_t flags) const {
   MsgHeader ack;
   ack.set_type(MsgType::kAck);
+  ack.flags = flags;
   ack.from = me_;
   ack.seq = kNoWaitSlot;
   ack.addr = reply.addr;
@@ -672,7 +664,6 @@ void DsmNode::NoteLost(MinipageId id) {
 Status DsmNode::FaultLost(const char* what, MinipageId id) {
   // The owning shard degraded this minipage: its sole copy died with its
   // host. Per-minipage error — the rest of the cluster keeps going.
-  NoteLost(id);
   return LivenessFailure(what, Status::NotFound("minipage " + std::to_string(id) +
                                                 " lost: its only copy died with its host"));
 }
@@ -1209,7 +1200,7 @@ void DsmNode::MgrStartService(MsgHeader h) {
     e.pending.push_back(h);
     return;
   }
-  e.in_service = true;
+  directory_->SetInService(e, true);
   e.in_service_for = h.from;
   e.in_service_req = h;
   Trace(TraceEventKind::kMgrSvcStart, h.minipage, h.addr, h.from, e.copyset.LowWord());
@@ -1450,7 +1441,7 @@ void DsmNode::MgrHandleBounced(const MsgHeader& h) {
 
 void DsmNode::MgrFinishService(MinipageId id) {
   DirEntry& e = directory_->Entry(id);
-  e.in_service = false;
+  directory_->SetInService(e, false);
   e.fetch_pending = false;
   Trace(TraceEventKind::kMgrSvcEnd, id, 0, 0, e.copyset.LowWord());
   if (e.pending.empty()) {
@@ -1458,7 +1449,7 @@ void DsmNode::MgrFinishService(MinipageId id) {
   }
   MsgHeader next = e.pending.front();
   e.pending.pop_front();
-  e.in_service = true;
+  directory_->SetInService(e, true);
   e.in_service_for = next.from;
   e.in_service_req = next;
   Trace(TraceEventKind::kMgrSvcStart, next.minipage, next.addr, next.from,
@@ -1528,7 +1519,7 @@ void DsmNode::MgrHandleBarrierEnter(const MsgHeader& h) {
     return;
   }
   if (!b.arrived_set.Contains(h.from)) {
-    b.arrived_set.Add(h.from);
+    directory_->Arrive(h.from);
     b.waiters.push_back(h);
   } else {
     // Post-failover re-send from an already-arrived host: collapse the
@@ -1556,7 +1547,7 @@ void DsmNode::ReleaseBarrierBelow(uint32_t gen) {
   for (size_t i = 0; i < b.waiters.size(); ++i) {
     const MsgHeader w = b.waiters[i];
     if (w.pgsize < gen) {
-      b.arrived_set.Remove(w.from);
+      directory_->Depart(w.from);
       SendBarrierRelease(w);
     } else {
       b.waiters[kept++] = w;
@@ -1886,12 +1877,9 @@ void DsmNode::HandleReply(const MsgHeader& h) {
     // while every other minipage keeps working.
     MP_LOG(Error) << "host " << me_ << ": installing minipage " << h.minipage
                   << " grant failed: " << st.ToString() << "; degrading this access";
-    MsgHeader ack = h;
-    ack.set_type(MsgType::kAck);
-    ack.from = me_;
-    ack.flags = kFlagAbort;
-    SendMsg(LiveManagerOf(ack.minipage), ack);
+    SendMsg(LiveManagerOf(h.minipage), AckFor(h, kFlagAbort));
     if (h.seq != kNoWaitSlot) {
+      NoteLost(h.minipage);
       MsgHeader verdict = h;
       verdict.flags |= kFlagAbort;
       slots_.Post(WaitSlots::SeqSlot(h.seq), verdict);
@@ -1901,40 +1889,33 @@ void DsmNode::HandleReply(const MsgHeader& h) {
   if (config_.enable_ack) {
     LearnTranslation(h);  // for stream read-ahead, which runs only with the ACK
   }
-  if (h.seq == kNoWaitSlot) {
-    // Prefetch completion: account and ACK on behalf of the (absent) waiter.
-    host_[&HostCounters::prefetch_bytes].Inc(h.has_payload() ? h.pgsize : 0);
-    if (config_.enable_ack) {
-      MsgHeader ack = h;
-      ack.set_type(MsgType::kAck);
-      ack.from = me_;
-      ack.flags = 0;
-      SendCoalesced(LiveManagerOf(ack.minipage), ack);
-    }
-    return;
+  // The installer ACKs: the copy is in place whether or not a thread still
+  // waits for it, so the shard can serve the minipage's next request. A read
+  // is ACKed only with the ACK on; a write always is. It is sent at once,
+  // not coalesced, since the minipage is in service until it lands, and
+  // before the waiter wakes, so nothing the server thread sends for a reply
+  // races the waiter's own next sends (same-seed simulator histories).
+  if (config_.enable_ack || h.msg_type() == MsgType::kWriteReply) {
+    SendMsg(LiveManagerOf(h.minipage), AckFor(h));
   }
-  slots_.Post(WaitSlots::SeqSlot(h.seq), h);
+  if (h.seq == kNoWaitSlot) {
+    host_[&HostCounters::prefetch_bytes].Inc(h.has_payload() ? h.pgsize : 0);
+  } else {
+    slots_.Post(WaitSlots::SeqSlot(h.seq), h);
+  }
 }
 
 void DsmNode::ApplyPush(const MsgHeader& h) {
   const Minipage mp = MinipageFromHeader(h);
   MP_CHECK_OK(views_->SetProtection(mp, Protection::kReadOnly));
-  MsgHeader ack = h;
-  ack.set_type(MsgType::kAck);
-  ack.from = me_;
-  ack.flags = 0;
-  SendCoalesced(LiveManagerOf(ack.minipage), ack);
+  SendCoalesced(LiveManagerOf(h.minipage), AckFor(h));
 }
 
 void DsmNode::PusherBroadcast(const MsgHeader& h) {
   const Minipage mp = MinipageFromHeader(h);
-  MsgHeader ack = h;
-  ack.set_type(MsgType::kAck);
-  ack.from = me_;
   if (views_->GetProtection(mp) != Protection::kReadWrite) {
     // Lost the writable copy since the push was issued; abort.
-    ack.flags = kFlagAbort;
-    SendMsg(LiveManagerOf(ack.minipage), ack);
+    SendMsg(LiveManagerOf(h.minipage), AckFor(h, kFlagAbort));
     return;
   }
   // Downgrade first so no local writer can tear the broadcast contents.
@@ -1947,8 +1928,7 @@ void DsmNode::PusherBroadcast(const MsgHeader& h) {
       SendMsg(static_cast<HostId>(host), push, views_->PrivAddr(mp.offset), mp.length);
     }
   });
-  ack.flags = 0;
-  SendMsg(LiveManagerOf(ack.minipage), ack);
+  SendMsg(LiveManagerOf(h.minipage), AckFor(h));
 }
 
 void DsmNode::Bounce(MsgHeader h) {
@@ -1989,17 +1969,9 @@ Result<MsgHeader> DsmNode::AwaitReply(uint32_t slot, uint32_t gen, uint64_t time
     if (WaitSlots::SeqGen(r->seq) == (gen & 0xffffffu)) {
       return *r;
     }
-    // Late reply to an abandoned attempt. Discard it — but a discarded data
-    // reply must still be ACKed (when the protocol serializes on ACKs),
-    // otherwise the manager would hold the minipage in service forever.
+    // Late reply to an abandoned attempt: discard it. A data reply was
+    // already installed and ACKed by the server thread (HandleReply).
     stale_replies_->Inc();
-    const MsgType t = r->msg_type();
-    // Lost-minipage error replies never opened a service transaction: no ACK.
-    const bool is_data = (t == MsgType::kReadReply || t == MsgType::kWriteReply) &&
-                         (r->flags & kFlagAbort) == 0;
-    if (is_data && (config_.enable_ack || t == MsgType::kWriteReply)) {
-      SendMsg(LiveManagerOf(r->minipage), AckFor(*r));
-    }
   }
 }
 
@@ -2192,9 +2164,10 @@ void DsmNode::RepairAfterDeath(HostId dead) {
         MgrFinishService(id);  // requester died with the source: serve the queue
       } else {
         // Re-issue the same transaction against a surviving replica instead
-        // of closing the service: the requester's wait — or its
-        // stale-discard ACK, if a membership kick already re-generationed
-        // the fault — still pairs 1:1 with this open service.
+        // of closing the service: the requester ACKs the reply when it
+        // installs it, whether or not a membership kick already
+        // re-generationed the fault, so it still pairs 1:1 with this open
+        // service.
         MsgHeader fwd = e.in_service_req;
         fwd.flags |= kFlagForwarded;
         ForwardToReplica(e.PickReplica(e.in_service_for, replica_rotation_++), fwd);
@@ -2217,7 +2190,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
         e.write_pending = false;
         e.invalidates_pending.Clear();
       }
-      e.in_service = false;
+      directory_->SetInService(e, false);
       e.push_outstanding = 0;
       DeclareLost(e);
       continue;
@@ -2265,7 +2238,7 @@ void DsmNode::RepairAfterDeath(HostId dead) {
     FinishBarrierProbe();
   }
   if (b.arrived_set.Contains(dead)) {
-    b.arrived_set.Remove(dead);
+    directory_->Depart(dead);
     for (auto it = b.waiters.begin(); it != b.waiters.end();) {
       it = (it->from == dead) ? b.waiters.erase(it) : std::next(it);
     }
@@ -2449,7 +2422,8 @@ std::string DsmNode::LivenessReport() const {
                   " peers_down{count=" + std::to_string(down.Count()) + " ids=";
   const char* sep = "";
   down.ForEach([&](uint32_t h) {
-    s += sep + std::to_string(h);
+    s += sep;
+    s += std::to_string(h);
     sep = ",";
   });
   char buf[256];
@@ -2459,12 +2433,11 @@ std::string DsmNode::LivenessReport() const {
            (unsigned long long)fault_retries_->value());
   s += buf;
   if (directory_ != nullptr) {
-    // Manager-side view: how much protocol state is wedged mid-transaction.
-    // Racy snapshot (the directory belongs to the server thread), diagnostics
-    // only.
+    // Manager-side view: how much protocol state is wedged mid-transaction,
+    // from the gauges the server thread publishes.
     snprintf(buf, sizeof(buf), " dir{minipages=%zu in_service=%zu barrier_arrived=%d}",
              directory_->num_entries(), directory_->InServiceCount(),
-             static_cast<const Directory*>(directory_.get())->barrier().arrived_set.Count());
+             directory_->ArrivedCount());
     s += buf;
   }
   s += "}";

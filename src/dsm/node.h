@@ -16,9 +16,9 @@
 //   * serving hosts adjust their own vpage protection and send the minipage
 //     contents directly from the privileged view (no buffering, no lookup);
 //   * the requester's server thread receives the data straight into the
-//     privileged view, raises protection, and wakes the faulting thread;
-//   * the faulting thread posts an ACK to the manager, which serializes
-//     per-minipage service and makes non-manager queueing unnecessary.
+//     privileged view, raises protection, ACKs to the manager, which
+//     serializes per-minipage service and makes non-manager queueing
+//     unnecessary, and wakes the faulting thread.
 
 #ifndef SRC_DSM_NODE_H_
 #define SRC_DSM_NODE_H_
@@ -141,10 +141,10 @@ class DsmNode {
   // copies of every minipage containing one of `addrs` as one batched,
   // split-transaction operation — all requests are issued before any reply
   // is awaited, so the fetch latencies pipeline instead of serializing as
-  // they would through individual faults. Each reply is ACKed as it
-  // arrives. After the call the group is readable at fine granularity;
-  // writes still operate per minipage. Returns the number of minipages
-  // actually fetched: 0 when the ACK is disabled (`enable_ack` false), where
+  // they would through individual faults. Each reply is ACKed as it is
+  // installed. After the call the group is readable at fine granularity;
+  // writes still operate per minipage. Returns the number of distinct
+  // minipages fetched: 0 when the ACK is disabled (`enable_ack` false), where
   // nothing would hold a member behind its minipage's service, as for
   // Prefetch.
   size_t FetchGroup(const GlobalAddr* addrs, size_t count);
@@ -285,41 +285,38 @@ class DsmNode {
   // ends any read-then-write pattern the write-intent prediction watches.
   uint32_t SyncSlot();
 
-  // Fault path. FetchForFault sends one request for the fault at `addr` and
-  // waits for its reply, re-sending on a membership change or a timeout, then
-  // ACKs it (a read only with the ACK on; without it, an invalidation that
-  // crosses the reply poisons it through inflight_). It keeps its own loop:
-  // its retries and that ACK-less mode are what FetchSplit leaves out.
-  // ReadAhead serves a fault the slot's StreamPredictor says continues a
-  // stream into minipage `next`: when the address does lie in `next`, it
-  // fetches `next` and the members after it whose translations this host has
-  // learned through FetchSplit, sets *last to the group's last id and returns
-  // the fault's own reply; otherwise, or when the group fails before that
-  // reply arrives, it is FetchForFault.
+  // Fault path. FetchForFault is FetchSplit with the fault's one request,
+  // re-sent on a membership change or a timeout. ReadAhead serves a fault the
+  // slot's StreamPredictor says continues a stream into minipage `next`: when
+  // the address does lie in `next`, it fetches `next` and the members after
+  // it whose translations this host has learned, sets *last to the group's
+  // last id and returns the fault's own reply; otherwise, or when the group
+  // fails before that reply arrives, it is FetchForFault.
   Result<MsgHeader> FetchForFault(uint32_t slot, uint64_t addr, bool is_write);
   Result<MsgHeader> ReadAhead(uint32_t slot, uint32_t view, uint64_t offset, bool is_write,
                               MinipageId next, MinipageId* last);
-  // One split transaction on `slot`, the send-and-collect path of FetchGroup
-  // and ReadAhead: sends reqs[0..n) with one generation through SendGroup,
-  // then collects the replies in any order and ACKs each as it arrives, so
-  // the group never holds one minipage in service while it waits for
-  // another. `own` is the fault's own minipage (kInvalidMinipage for a group
-  // without one), whose reply is returned, abort-flagged when it is lost.
-  // Every other member counts in host.prefetches and, once installed, in
-  // host.prefetch_bytes and *fetched; a lost one is recorded (NoteLost). A
-  // failed send, or a failed wait before the own reply (any failed wait
-  // without one), ends the group with that error; the members' late replies
-  // are discarded and ACKed by the slot's next wait.
-  Result<MsgHeader> FetchSplit(uint32_t slot, MsgHeader* reqs, size_t n, MinipageId own,
-                               const char* what, size_t* fetched);
+  // One split transaction on `slot`, the send-and-collect path of every
+  // fetch: sends reqs[0..n) with one generation through SendGroup, then
+  // collects the replies in any order, waiting up to `timeout_ms` for each.
+  // The server thread installs and ACKs every reply (HandleReply), so
+  // nothing here holds a minipage in service. Returns the reply to reqs[0],
+  // known by its addr and abort-flagged when it is lost; every other
+  // installed reply adds its minipage id to *members and its bytes to
+  // host.prefetch_bytes. A failed send, or a failed wait before reqs[0]'s
+  // reply, ends the group with that error; a member reply still missing
+  // once reqs[0]'s is in is left to arrive on its own.
+  Result<MsgHeader> FetchSplit(uint32_t slot, MsgHeader* reqs, size_t n, uint64_t timeout_ms,
+                               const char* what, std::vector<MinipageId>* members);
   // Sends `n` same-type requests to the MPT host: up to kMaxBatchRecords a
   // frame with batching on, one message each with it off. Stops at the first
   // failed send.
   Status SendGroup(const MsgHeader* reqs, size_t n);
-  // The ACK for data reply `reply`, bound for LiveManagerOf(reply.minipage).
-  MsgHeader AckFor(const MsgHeader& reply) const;
-  // Records that minipage `id` is permanently lost; FaultLost also returns
-  // the faulting access's kNotFound error.
+  // The ACK for data reply or push `reply`, bound for
+  // LiveManagerOf(reply.minipage); kFlagAbort renounces the grant.
+  MsgHeader AckFor(const MsgHeader& reply, uint8_t flags = 0) const;
+  // Records that minipage `id` is permanently lost (HandleReply does, for
+  // every abort verdict it delivers); FaultLost returns the faulting
+  // access's kNotFound error for one.
   void NoteLost(MinipageId id);
   Status FaultLost(const char* what, MinipageId id);
   // Stores the translation a reply carries: (view, offset, length) of its
@@ -438,8 +435,7 @@ class DsmNode {
   }
 
   // Waits for the reply tagged (slot, gen), discarding stale replies from
-  // abandoned attempts (and ACKing discarded data replies so the manager
-  // releases the minipage). timeout_ms = 0 waits forever. `poll` marks a wait
+  // abandoned attempts. timeout_ms = 0 waits forever. `poll` marks a wait
   // a few hops from its reply (fault data, lock grant, allocation): it polls
   // for reply_poll_us_ before parking. Barrier waits park at once.
   Result<MsgHeader> AwaitReply(uint32_t slot, uint32_t gen, uint64_t timeout_ms,
