@@ -1,12 +1,17 @@
-// Manager-side directory: per-minipage copyset/ownership, in-service
-// serialization with request queueing (the source of the paper's "competing
-// requests" statistic), pending-write invalidation rounds, plus the lock and
-// barrier tables. One Directory instance is one manager *shard*: centralized
-// deployments run a single shard on host 0; sharded deployments
-// (ManagerPolicy::kSharded) run one per host, holding exactly the ids that
-// hash to it. All state in a shard is touched exclusively by its host's
-// server thread, so no locking is needed; the three liveness gauges are
-// published to other threads as relaxed atomics.
+// Directory: one manager shard, the paper's Figure 3 manager role, with its
+// state and its rules: per-minipage copyset/ownership, service serialized
+// behind the requester's ACK (queued competing requests are the paper's
+// "competing requests" statistic), invalidation rounds, the lock and barrier
+// service, an adopted shard's survivor polls, and repair after a host dies.
+// Centralized deployments run one shard on host 0; sharded ones
+// (ManagerPolicy::kSharded) run one per host, holding the ids that hash to
+// it. Translation (MPT, allocator) stays on host 0's DsmNode.
+//
+// A shard has no thread, lock or transport. It takes one decoded message at a
+// time (Handle) and reaches its host through the Seam, called in place, so
+// every send and trace happens where the rule makes it. DsmNode and LrcNode
+// (locks and barrier only) drive one from their server thread; tests drive
+// one directly. The three liveness gauges are relaxed atomics.
 
 #ifndef SRC_DSM_DIRECTORY_H_
 #define SRC_DSM_DIRECTORY_H_
@@ -19,6 +24,8 @@
 #include "src/common/host_set.h"
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
+#include "src/common/trace.h"
+#include "src/dsm/config.h"
 #include "src/dsm/wait_slots.h"
 #include "src/multiview/minipage.h"
 #include "src/net/message.h"
@@ -29,7 +36,7 @@ namespace millipage {
 // other live host what it holds of the dead shard's state: copies of a
 // minipage (kCopysetQuery), a lock's grant (kLockProbe), or the barrier
 // rounds completed (kBarrierProbe). Requests for the id queue while the poll
-// is open; DsmNode::OpenPoll starts it and DsmNode::AnswerPoll takes each
+// is open; Directory::OpenPoll starts it and Directory::AnswerPoll takes each
 // answer, or retires a host that died before answering.
 struct SurvivorPoll {
   bool open = false;
@@ -156,13 +163,51 @@ struct BarrierState {
 
 class Directory {
  public:
-  // Registers the shard's mgr.* counters in the owning node's registry.
-  explicit Directory(MetricsRegistry& registry)
-      : requests_served_(registry.GetCounter("mgr.requests_served")),
-        invalidation_rounds_(registry.GetCounter("mgr.invalidation_rounds")),
-        mpt_lookups_(registry.GetCounter("mgr.mpt_lookups")),
-        remote_routed_(registry.GetCounter("mgr.remote_routed")) {}
+  // The rest of the shard's host: what a rule does beyond the shard's own
+  // state. Every call happens in place, on the thread driving the shard.
+  class Seam {
+   public:
+    virtual ~Seam() = default;
+    // Sends `h` to `to` now / through the host's coalescer. A fan-out of
+    // coalesced sends is bracketed by BeginBurst/EndBurst.
+    virtual void Send(HostId to, const MsgHeader& h) = 0;
+    virtual void SendCoalesced(HostId to, const MsgHeader& h) = 0;
+    virtual void BeginBurst() = 0;
+    virtual void EndBurst() = 0;
+    // Hands a forwarded request to the replica that serves it (in place when
+    // the replica is this host).
+    virtual void Forward(HostId replica, const MsgHeader& fwd) = 0;
+    // Delivers the kFlagAbort verdict for one of this host's own requests.
+    virtual void DeliverLost(const MsgHeader& verdict) = 0;
+    // This host's answer to a survivor-poll query (kCopysetQuery, kLockProbe
+    // or kBarrierProbe): the reply it sends other hosts' polls.
+    virtual MsgHeader AnswerProbe(const MsgHeader& query) = 0;
+    // History recorder hook (src/common/trace.h), stamped with this host.
+    virtual void Trace(TraceEventKind kind, uint32_t minipage, uint64_t addr, uint64_t arg1 = 0,
+                       uint64_t arg2 = 0) const = 0;
+    // Current membership.
+    virtual const HostSet& live_set() const = 0;
+    virtual const HostSet& dead_set() const = 0;
+  };
 
+  // Registers the shard's mgr.* counters (and the host.*/dsm.* counters its
+  // rules count) in the owning node's registry.
+  Directory(const DsmConfig& config, HostId me, MetricsRegistry& registry, Seam& seam);
+
+  // Serves one manager-bound message, epoch tag already stripped: a
+  // translated request (routed here, or bounced back by its serving host), an
+  // invalidate reply, an ACK, a lock or barrier message, or a survivor-poll
+  // answer. Fatal when this shard does not own the message's id.
+  void Handle(const MsgHeader& h);
+
+  // Repairs the shard after `dead` left the membership (already published):
+  // purges its queued requests, retires its copies and the answers it owed,
+  // re-issues or closes the transactions it was serving, declares minipages
+  // whose only copy it held lost, frees its locks and drops it from the
+  // barrier.
+  void RepairAfterDeath(HostId dead);
+
+  // State, for inspection (tests, diagnostics) on the driving thread.
   DirEntry& Entry(MinipageId id) {
     MP_CHECK(id != kInvalidMinipage) << "directory access with invalid minipage id";
     if (id >= entries_.size()) {
@@ -171,35 +216,14 @@ class Directory {
     }
     return entries_[id];
   }
-
-  // Flips `e.in_service`, keeping InServiceCount current.
-  void SetInService(DirEntry& e, bool on) {
-    if (e.in_service != on) {
-      e.in_service = on;
-      const size_t n = in_service_.load(std::memory_order_relaxed);
-      in_service_.store(on ? n + 1 : n - 1, std::memory_order_relaxed);
-    }
-  }
-
-  // Adds `h` to / removes it from the barrier's arrived set.
-  void Arrive(HostId h) {
-    barrier_.arrived_set.Add(h);
-    arrived_.store(barrier_.arrived_set.Count(), std::memory_order_relaxed);
-  }
-  void Depart(HostId h) {
-    barrier_.arrived_set.Remove(h);
-    arrived_.store(barrier_.arrived_set.Count(), std::memory_order_relaxed);
-  }
-
   LockEntry& Lock(uint32_t lock_id) {
     if (lock_id >= locks_.size()) {
       locks_.resize(lock_id + 1);
     }
     return locks_[lock_id];
   }
-
-  BarrierState& barrier() { return barrier_; }
   const BarrierState& barrier() const { return barrier_; }
+
   // Shard counters. Competing requests are counted per host instead
   // (host.competing_requests).
   Counter& requests_served() const { return *requests_served_; }
@@ -219,10 +243,105 @@ class Directory {
   size_t num_locks() const { return locks_.size(); }
 
  private:
+  bool OwnsShard(uint32_t id) const {
+    return config_.ManagerOfLive(id, seam_.live_set()) == me_;
+  }
+
+  // Flips `e.in_service`, keeping InServiceCount current.
+  void SetInService(DirEntry& e, bool on) {
+    if (e.in_service != on) {
+      e.in_service = on;
+      const size_t n = in_service_.load(std::memory_order_relaxed);
+      in_service_.store(on ? n + 1 : n - 1, std::memory_order_relaxed);
+    }
+  }
+  // Adds `h` to / removes it from the barrier's arrived set.
+  void Arrive(HostId h) {
+    barrier_.arrived_set.Add(h);
+    arrived_.store(barrier_.arrived_set.Count(), std::memory_order_relaxed);
+  }
+  void Depart(HostId h) {
+    barrier_.arrived_set.Remove(h);
+    arrived_.store(barrier_.arrived_set.Count(), std::memory_order_relaxed);
+  }
+
+  // Minipage service (Figure 3, manager paths).
+  void StartService(const MsgHeader& h);
+  void Process(const MsgHeader& h);
+  void ProcessRead(const MsgHeader& h, DirEntry& e);
+  void ProcessWrite(const MsgHeader& h, DirEntry& e);
+  void ProcessPush(const MsgHeader& h, DirEntry& e);
+  // Asks `target` to serve `fwd`, recording it as the in-service
+  // transaction's data source.
+  void Forward(DirEntry& e, HostId target, const MsgHeader& fwd);
+  void HandleBounced(const MsgHeader& h);
+  void HandleInvalidateReply(const MsgHeader& h);
+  // Completes an invalidation round: forwards (or upgrades) the pending
+  // write once every outstanding invalidation has been accounted for.
+  void FinishWriteRound(MinipageId id);
+  void HandleAck(const MsgHeader& h);
+  void FinishService(MinipageId id);
+  // Answers a request for a lost minipage with a kFlagAbort data reply.
+  void ReplyLost(const MsgHeader& h);
+  // Marks `e` permanently lost and answers every queued request with
+  // ReplyLost.
+  void DeclareLost(DirEntry& e);
+
+  // Lock and barrier service.
+  void HandleBarrierEnter(const MsgHeader& h);
+  void HandleLockAcquire(const MsgHeader& h);
+  void HandleLockRelease(const MsgHeader& h);
+  // Grants free lock `lock_id` to the sender of `acquire`: sets the holder,
+  // traces kLockGrant and sends the grant. A lock the sender already holds
+  // is only re-sent its grant (the first was dropped across an epoch bump):
+  // no new hand-off, so nothing is traced.
+  void GrantLock(uint32_t lock_id, LockEntry& l, MsgHeader acquire);
+  // Passes a lock its holder let go of (released, or died) to the oldest
+  // waiter; frees it when none waits or an open poll defers every grant.
+  void PassLock(uint32_t lock_id, LockEntry& l);
+  // Releases the waiter that sent `enter` from the round it entered (its
+  // pgsize).
+  void SendBarrierRelease(MsgHeader enter);
+  // Releases every queued waiter that entered a round below `gen`; the rest
+  // stay queued and arrived.
+  void ReleaseBarrierBelow(uint32_t gen);
+  // Releases the barrier's oldest round once every live host has arrived.
+  void MaybeReleaseBarrier();
+
+  // Survivor polls. AdoptedHere: `id`'s home shard is dead and this host is
+  // its live successor, so the id was adopted here. OpenPoll sends `query`
+  // as a `type` message to every other live host, then takes this host's
+  // own answer (Seam::AnswerProbe, read before the sends) like theirs.
+  bool AdoptedHere(uint32_t id) const;
+  void OpenPoll(SurvivorPoll& poll, MsgType type, MsgHeader query);
+  // Takes `from` off the poll: its answer arrived, or it died. kStale when
+  // the poll is not open (the answer is ignored); kClosed when no live host
+  // is left to answer, which closes it.
+  enum class PollStep : uint8_t { kStale, kWaiting, kClosed };
+  PollStep AnswerPoll(SurvivorPoll& poll, HostId from);
+  // Records one answer (kCopysetReply, kLockProbeReply or
+  // kBarrierProbeReply), this host's own included.
+  void TakeAnswer(const MsgHeader& a);
+  // The poll's three kinds: Start* opens the poll, Finish* acts on it once
+  // closed. Copyset rebuild for an adopted id (geometry travels in `h`).
+  void StartCopysetRebuild(const MsgHeader& h);
+  void FinishCopysetRebuild(MinipageId id);
+  // Adopted-lock holder probe.
+  void StartLockProbe(uint32_t lock_id);
+  void FinishLockProbe(uint32_t lock_id);
+  // Adopted-barrier generation probe (see directory.cc).
+  void StartBarrierProbe();
+  void FinishBarrierProbe();
+
+  const DsmConfig config_;
+  const HostId me_;
+  Seam& seam_;
+
   std::vector<DirEntry> entries_;
   std::vector<LockEntry> locks_;
   BarrierState barrier_;
-  // Written by the server thread only.
+  uint32_t replica_rotation_ = 0;
+  // Written by the driving thread only.
   std::atomic<size_t> num_entries_{0};
   std::atomic<size_t> in_service_{0};
   std::atomic<int> arrived_{0};
@@ -230,6 +349,11 @@ class Directory {
   Counter* const invalidation_rounds_;
   Counter* const mpt_lookups_;
   Counter* const remote_routed_;
+  Counter* const competing_requests_;
+  Counter* const dup_invalidate_replies_;
+  Counter* const shards_adopted_;
+  Counter* const copyset_repairs_;
+  Counter* const minipages_lost_;
 };
 
 }  // namespace millipage

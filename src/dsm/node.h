@@ -1,14 +1,15 @@
-// DsmNode: one millipage host. Owns the host's memory object and views, the
-// SW/MR sequential-consistency protocol endpoint, the DSM server thread, and
-// the manager role. The manager role is really two roles:
-//   * translation (MPT + allocator) — always on host 0 (kManagerHost), the
-//     only host that can map a faulting address to a minipage id;
-//   * per-id service (directory entry, lock queue, barrier) — on host 0 when
-//     ManagerPolicy::kCentralized, or on ManagerOf(id) when kSharded, in
-//     which case every host runs a directory shard and untranslated requests
-//     take one extra header hop: host 0 translates, then routes the request
-//     to the owning shard, which serves it (from its own privileged view,
-//     zero-copy, when it also holds a replica).
+// DsmNode: one millipage host. It owns the host's memory object and views,
+// the server thread, the transport and the coalescer, and plays four roles:
+//   * requester: fault entry, wait slots, write-intent prediction, stream
+//     read-ahead and the split-transaction fetch;
+//   * translation (MPT + allocator): always on host 0 (kManagerHost), the only
+//     host that can map a faulting address to a minipage id; it routes every
+//     translated request to the owning manager shard;
+//   * manager shard: the Directory (directory.h), on host 0 when
+//     ManagerPolicy::kCentralized, on every host when kSharded. The node
+//     hands it decoded messages and is its Seam;
+//   * replica server and membership: serve, install and ACK; the epoch bump
+//     and the kicks that follow a host death.
 //
 // The protocol is the paper's Figure 3, message for message:
 //   * faults send a 32-byte request to the manager and block on an event;
@@ -52,12 +53,12 @@ namespace millipage {
 
 struct ThreadSlotEntry;  // node.cc: the calling thread's wait slot on a node
 
-class DsmNode {
+class DsmNode final : private Directory::Seam {
  public:
   // `transport` must outlive the node and already know all hosts.
   static Result<std::unique_ptr<DsmNode>> Create(const DsmConfig& config, HostId me,
                                                  Transport* transport);
-  ~DsmNode();
+  ~DsmNode() override;
 
   DsmNode(const DsmNode&) = delete;
   DsmNode& operator=(const DsmNode&) = delete;
@@ -185,8 +186,8 @@ class DsmNode {
   // returned references point into an immutable membership snapshot retained
   // for the node's lifetime, so they stay valid across concurrent bumps
   // (readers may just observe a superseded snapshot).
-  const HostSet& dead_set() const { return membership().dead; }
-  const HostSet& live_set() const { return membership().live; }
+  const HostSet& dead_set() const override { return membership().dead; }
+  const HostSet& live_set() const override { return membership().live; }
   // True when a peer death is answered with epoch-bump recovery instead of
   // the sticky whole-cluster abort: the directory is sharded. A dead host 0
   // is always unrecoverable (it owns the MPT and allocator).
@@ -284,6 +285,12 @@ class DsmNode {
   // ThreadSlot() for a Barrier, Lock or Unlock: also counts the call, which
   // ends any read-then-write pattern the write-intent prediction watches.
   uint32_t SyncSlot();
+  // The acquire loop of TryBarrier and TryLock: sends `h`, stamped with
+  // `slot` and a fresh generation, to the live shard of h.minipage and waits
+  // for its grant (polling first when `poll`). A failed send waits for a
+  // membership change and re-sends; a membership kick re-sends; any other
+  // failure is a liveness failure of `op`.
+  Result<MsgHeader> Acquire(uint32_t slot, MsgHeader h, bool poll, const char* op);
 
   // Fault path. FetchForFault is FetchSplit with the fault's one request,
   // re-sent on a membership change or a timeout. ReadAhead serves a fault the
@@ -339,30 +346,39 @@ class DsmNode {
   // drain via FlushCoalesced() — called whenever the server runs out of
   // immediately-deliverable messages, so coalescing never delays traffic
   // behind idle waiting.
-  void SendCoalesced(HostId to, const MsgHeader& h);
+  void SendCoalesced(HostId to, const MsgHeader& h) override;
   void FlushCoalesced();
 
-  // Manager role.
+  // ---- The manager shard's seam (Directory::Seam) ------------------------
+  void Send(HostId to, const MsgHeader& h) override { SendMsg(to, h); }
+  void BeginBurst() override { transport_->BeginBurst(); }
+  void EndBurst() override { transport_->EndBurst(); }
+  // Sends a forwarded request to the serving replica. When this host is
+  // itself the replica (either policy), serves inline from the privileged
+  // view instead of bouncing the header through the transport.
+  void Forward(HostId replica, const MsgHeader& fwd) override;
+  // A lost verdict for this host's own request waits until its handler has
+  // sent everything else, so the worker it wakes never races those sends:
+  // WakeLost, at the end of HandleMessage and before a membership change
+  // kicks waiters, hands each to HandleReply's abort branch.
+  void DeliverLost(const MsgHeader& verdict) override { lost_verdicts_.push_back(verdict); }
+  void WakeLost();
+  // This host's answer to a survivor-poll query, for another host's poll
+  // (sent back by DispatchOne) or for its own shard's.
+  MsgHeader AnswerProbe(const MsgHeader& query) override;
+
+  // This host's manager shard; fatal at a host that runs none (a manager
+  // message misrouted to a non-zero host of a centralized cluster).
+  Directory& Shard() const {
+    MP_CHECK(directory_ != nullptr) << "host " << me_ << " runs no manager shard";
+    return *directory_;
+  }
+
+  // Translation (host 0).
   bool MgrTranslate(MsgHeader* h);
   // Host 0 only: translate an untranslated request and either serve it (own
   // shard) or hand the translated header to the owning shard.
   void MgrTranslateAndRoute(const MsgHeader& h);
-  // Forwards a translated request to the serving replica. When this shard is
-  // itself the replica (either policy), serves inline from the privileged
-  // view instead of bouncing the header through the transport.
-  void ForwardToReplica(HostId target, const MsgHeader& fwd);
-  void MgrStartService(MsgHeader h);
-  void MgrProcess(const MsgHeader& h);
-  void MgrProcessRead(const MsgHeader& h, DirEntry& e);
-  void MgrProcessWrite(const MsgHeader& h, DirEntry& e);
-  void MgrProcessPush(const MsgHeader& h, DirEntry& e);
-  void MgrHandleBounced(const MsgHeader& h);
-  void MgrFinishService(MinipageId id);
-  void MgrHandleInvalidateReply(const MsgHeader& h);
-  // Completes an invalidation round: forwards (or upgrades) the pending
-  // write once every outstanding invalidation has been accounted for.
-  void MgrFinishWriteRound(MinipageId id);
-  void MgrHandleAck(const MsgHeader& h);
   // Allocation at the MPT host. MgrAllocate allocates h.pgsize (> 0) bytes,
   // opens ReadWrite over every allocated minipage no request has been
   // translated for yet, and returns the kAllocReply for h — all under
@@ -380,23 +396,6 @@ class DsmNode {
     return is_manager() && reply_poll_us_.load(std::memory_order_relaxed) != 0;
   }
   void MgrHandleAlloc(const MsgHeader& h);
-  void MgrHandleBarrierEnter(const MsgHeader& h);
-  void MgrHandleLockAcquire(const MsgHeader& h);
-  void MgrHandleLockRelease(const MsgHeader& h);
-  // Grants free lock `lock_id` to the sender of `acquire`: sets the holder,
-  // traces kLockGrant and sends the grant. A lock the sender already holds
-  // is only re-sent its grant (the first was dropped across an epoch bump):
-  // no new hand-off, so nothing is traced.
-  void GrantLock(uint32_t lock_id, LockEntry& l, MsgHeader acquire);
-  // Passes a lock its holder let go of (released, or died) to the oldest
-  // waiter; frees it when none waits or an open poll defers every grant.
-  void PassLock(uint32_t lock_id, LockEntry& l);
-  // Releases the waiter that sent `enter` from the round it entered (its
-  // pgsize).
-  void SendBarrierRelease(MsgHeader enter);
-  // Releases every queued waiter that entered a round below `gen`; the rest
-  // stay queued and arrived.
-  void ReleaseBarrierBelow(uint32_t gen);
 
   // Serving side (any host).
   void ServeReadRequest(const MsgHeader& h);
@@ -441,6 +440,11 @@ class DsmNode {
   Result<MsgHeader> AwaitReply(uint32_t slot, uint32_t gen, uint64_t timeout_ms,
                                const char* what, bool poll = false);
 
+  // Posts `reply` to the waiter on its seq's slot. Inside a simulator step
+  // it also marks the step: the woken worker runs at once, so TrySendMsg
+  // fails the run on any later send of the step.
+  void Wake(const MsgHeader& reply);
+
   // Peer-down event (from the transport or a send failure): schedules
   // recovery when the death is recoverable, otherwise aborts every
   // outstanding wait — unless the node is already draining at teardown.
@@ -457,59 +461,17 @@ class DsmNode {
   // messages. `broadcast` additionally announces the new membership to every
   // live peer (the detector path).
   void ApplyMembership(uint32_t epoch, const HostSet& dead, bool broadcast);
-  void RepairAfterDeath(HostId dead);
   void DrainDeferred();
   // App-thread side of recovery: blocks (bounded by sync_timeout_ms) until
   // the membership epoch advances past `epoch_before`, so an operation whose
   // send failed against a dying peer can retry under the new membership.
   bool AwaitMembershipChange(uint32_t epoch_before);
-  // Answers a request for a lost minipage with a kFlagAbort data reply.
-  void ReplyLost(const MsgHeader& h);
-  // Marks `e` permanently lost and answers every queued request with
-  // ReplyLost.
-  void DeclareLost(DirEntry& e);
-
-  // Survivor poll (SurvivorPoll in directory.h). True when `id`'s home shard
-  // is dead and this host is its live successor: the id was adopted here.
-  bool AdoptedHere(uint32_t id) const;
-  // Opens `poll` and sends `query` as a `type` message to every live host
-  // but this one. Returns true when no other host lives: the poll closed.
-  bool OpenPoll(SurvivorPoll& poll, MsgType type, MsgHeader query);
-  // Takes `from` off the poll: its answer arrived, or it died. kStale when
-  // the poll is not open (the answer is ignored); kClosed when no live host
-  // is left to answer, which closes it.
-  enum class PollStep : uint8_t { kStale, kWaiting, kClosed };
-  PollStep AnswerPoll(SurvivorPoll& poll, HostId from);
-  // The poll's three kinds: Start* seeds this host's own answer and opens the
-  // poll, MgrHandle*Reply records an answer, Finish* acts on the closed poll.
-  // Copyset rebuild for an adopted id (geometry travels in `h`).
-  void StartCopysetRebuild(const MsgHeader& h);
-  void FinishCopysetRebuild(MinipageId id);
-  void HandleCopysetQuery(const MsgHeader& h);
-  void MgrHandleCopysetReply(const MsgHeader& h);
-  // Adopted-lock holder probe.
-  void StartLockProbe(uint32_t lock_id);
-  void FinishLockProbe(uint32_t lock_id);
-  void HandleLockProbe(const MsgHeader& h);
-  void MgrHandleLockProbeReply(const MsgHeader& h);
-  // Adopted-barrier generation probe: a shard that inherits the barrier asks
-  // every live host how many rounds it has completed. Any host past round k
-  // proves round k's quorum was met at the dead shard, so a straggler
-  // re-sending round k can be released even if the released hosts have
-  // finished their scripts and will never enter the barrier again.
-  void StartBarrierProbe();
-  void FinishBarrierProbe();
-  void HandleBarrierProbe(const MsgHeader& h);
-  void MgrHandleBarrierProbeReply(const MsgHeader& h);
-  // Releases the barrier's oldest round once every live host has arrived.
-  void MaybeReleaseBarrier();
-
   // Logs the liveness report and returns `cause` annotated with `op`.
   Status LivenessFailure(const char* op, const Status& cause);
 
   // History recorder hook; no-op when config_.trace is null.
   void Trace(TraceEventKind kind, uint32_t minipage, uint64_t addr, uint64_t arg1 = 0,
-             uint64_t arg2 = 0) const {
+             uint64_t arg2 = 0) const override {
     if (config_.trace != nullptr) {
       config_.trace->Emit(kind, me_, minipage, addr, arg1, arg2);
     }
@@ -576,6 +538,9 @@ class DsmNode {
   // a server loop, 0 on a simulator-pumped node, whose waits park at once so
   // same-seed histories do not depend on it.
   std::atomic<uint64_t> reply_poll_us_{0};
+  // Set when the current simulator step woke a waiter (Wake); read only by
+  // the thread running a step of this node.
+  bool woke_in_step_ = false;
 
   // In-flight fetch tracking, used only when read ACKs are elided: a fetch
   // whose minipage is invalidated mid-flight is poisoned and retried instead
@@ -585,7 +550,6 @@ class DsmNode {
     std::atomic<bool> poisoned{false};
   };
   InflightFetch inflight_[WaitSlots::kMaxSlots];
-  uint32_t replica_rotation_ = 0;  // manager server thread only
 
   // Liveness state. slot_gen_ is written by the slot-owning app thread and
   // read elsewhere only for diagnostics.
@@ -623,6 +587,7 @@ class DsmNode {
     std::vector<std::byte> payload;
   };
   std::deque<DeferredMsg> deferred_;
+  std::vector<MsgHeader> lost_verdicts_;  // server thread only (DeliverLost)
 
   // ---- Coalescer state (server thread only) ------------------------------
   struct PendingBatch {

@@ -40,7 +40,8 @@ Result<std::unique_ptr<LrcNode>> LrcNode::Create(const DsmConfig& config, HostId
   // Sync tables (locks, barrier): one shard on host 0 when centralized,
   // one per host when sharded — lock ids hash across hosts like minipages.
   if (me == kManagerHost || config.manager_policy == ManagerPolicy::kSharded) {
-    node->directory_ = std::make_unique<Directory>(node->metrics_);
+    node->directory_ = std::make_unique<Directory>(config, me, node->metrics_,
+                                                   static_cast<Directory::Seam&>(*node));
   }
   return node;
 }
@@ -110,6 +111,9 @@ void LrcNode::Barrier() {
   h.set_type(MsgType::kBarrierEnter);
   h.from = me_;
   h.seq = ThreadSlot();
+  // The round this host enters (barriers it has completed), which the shard
+  // releases it from.
+  h.pgsize = static_cast<uint32_t>(stats_[&LrcCounters::barriers].value());
   SendMsg(config_.BarrierManager(), h);
   (void)slots_.Wait(h.seq);
   InvalidateCache();  // acquire
@@ -311,25 +315,13 @@ void LrcNode::HandleMessage(const MsgHeader& h) {
       slots_.Post(h.seq, h);
       break;
     case MsgType::kBarrierEnter:
-      MP_CHECK(me_ == config_.BarrierManager())
-          << "barrier entry received by a non-barrier host";
-      if (allocator_ != nullptr) {
-        allocator_->CloseChunk();
-      }
-      MgrHandleBarrierEnter(h);
-      break;
     case MsgType::kLockAcquire:
-      MP_CHECK(config_.ManagerOf(h.minipage) == me_)
-          << "lock acquire received by a non-owning shard";
       if (allocator_ != nullptr) {
         allocator_->CloseChunk();
       }
-      MgrHandleLockAcquire(h);
-      break;
+      [[fallthrough]];
     case MsgType::kLockRelease:
-      MP_CHECK(config_.ManagerOf(h.minipage) == me_)
-          << "lock release received by a non-owning shard";
-      MgrHandleLockRelease(h);
+      directory_->Handle(h);
       break;
     default:
       MP_LOG(Fatal) << "LrcNode: unexpected message " << MsgTypeName(h.msg_type());
@@ -376,51 +368,6 @@ void LrcNode::MgrHandleAlloc(const MsgHeader& h) {
   reply.pgsize = static_cast<uint32_t>(alloc->size);
   reply.privbase = alloc->offset;
   SendMsg(h.from, reply);
-}
-
-void LrcNode::MgrHandleBarrierEnter(const MsgHeader& h) {
-  BarrierState& b = directory_->barrier();
-  b.arrived_set.Add(h.from);
-  b.waiters.push_back(h);
-  if (b.arrived_set.Count() < config_.num_hosts) {
-    return;
-  }
-  for (const MsgHeader& w : b.waiters) {
-    MsgHeader release = w;
-    release.set_type(MsgType::kBarrierRelease);
-    release.minipage = b.generation;
-    SendMsg(w.from, release);
-  }
-  b.generation++;
-  b.arrived_set.Clear();
-  b.waiters.clear();
-}
-
-void LrcNode::MgrHandleLockAcquire(const MsgHeader& h) {
-  LockEntry& l = directory_->Lock(h.minipage);
-  if (!l.held) {
-    l.held = true;
-    l.holder = h.from;
-    MsgHeader grant = h;
-    grant.set_type(MsgType::kLockGrant);
-    SendMsg(h.from, grant);
-    return;
-  }
-  l.waiters.push_back(h);
-}
-
-void LrcNode::MgrHandleLockRelease(const MsgHeader& h) {
-  LockEntry& l = directory_->Lock(h.minipage);
-  MP_CHECK(l.held && l.holder == h.from) << "unlock by non-holder";
-  if (l.waiters.empty()) {
-    l.held = false;
-    return;
-  }
-  MsgHeader next = l.waiters.front();
-  l.waiters.pop_front();
-  l.holder = next.from;
-  next.set_type(MsgType::kLockGrant);
-  SendMsg(next.from, next);
 }
 
 // ---- Home role -----------------------------------------------------------------------

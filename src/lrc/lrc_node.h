@@ -82,11 +82,11 @@ inline constexpr CounterField<LrcCounters> LrcCounters::kFields[] = {
     {"lrc.lock_acquires", &LrcCounters::lock_acquires},
 };
 
-class LrcNode {
+class LrcNode final : private Directory::Seam {
  public:
   static Result<std::unique_ptr<LrcNode>> Create(const DsmConfig& config, HostId me,
                                                  Transport* transport);
-  ~LrcNode();
+  ~LrcNode() override;
 
   LrcNode(const LrcNode&) = delete;
   LrcNode& operator=(const LrcNode&) = delete;
@@ -134,12 +134,24 @@ class LrcNode {
 
   void ServerLoop();
   void HandleMessage(const MsgHeader& h);
-  // Manager role (allocation, locks, barriers — reusing Directory tables).
+  // Manager role: translation and allocation here; locks and the barrier are
+  // the manager shard's service (Directory), over a membership that never
+  // changes and with no history recorded. Its minipage service is unused.
   void MgrHandleFetch(const MsgHeader& h);
   void MgrHandleAlloc(const MsgHeader& h);
-  void MgrHandleBarrierEnter(const MsgHeader& h);
-  void MgrHandleLockAcquire(const MsgHeader& h);
-  void MgrHandleLockRelease(const MsgHeader& h);
+  void Send(HostId to, const MsgHeader& h) override { SendMsg(to, h); }
+  void SendCoalesced(HostId to, const MsgHeader& h) override { SendMsg(to, h); }
+  void BeginBurst() override {}
+  void EndBurst() override {}
+  void Forward(HostId, const MsgHeader&) override { MP_LOG(Fatal) << "LRC shard forwarded"; }
+  void DeliverLost(const MsgHeader&) override { MP_LOG(Fatal) << "LRC shard lost a minipage"; }
+  MsgHeader AnswerProbe(const MsgHeader& q) override {
+    MP_LOG(Fatal) << "LRC shard polled survivors";
+    return q;
+  }
+  void Trace(TraceEventKind, uint32_t, uint64_t, uint64_t, uint64_t) const override {}
+  const HostSet& live_set() const override { return all_hosts_; }
+  const HostSet& dead_set() const override { return no_hosts_; }
   // Home role.
   void ServeFetch(const MsgHeader& h);
   void ApplyIncomingDiff(const MsgHeader& h, std::vector<std::byte> payload);
@@ -158,6 +170,8 @@ class LrcNode {
   const DsmConfig config_;
   const HostId me_;
   Transport* const transport_;
+  const HostSet all_hosts_ = HostSet::AllBelow(config_.num_hosts);
+  const HostSet no_hosts_;
   // The only store of this host's counters (lrc.* and the shard's mgr.*),
   // declared before the directory that keeps pointers into it.
   MetricsRegistry metrics_;

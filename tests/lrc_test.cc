@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "src/common/host_set.h"
 #include "src/lrc/lrc_cluster.h"
 #include "src/net/inproc_transport.h"
@@ -19,6 +22,12 @@ DsmConfig LrcConfig(uint16_t hosts, uint32_t chunking = 1, bool page_based = fal
   cfg.num_views = 8;
   cfg.chunking_level = chunking;
   cfg.page_based = page_based;
+  // MILLIPAGE_MANAGER_POLICY=sharded re-runs the suite with the lock and
+  // barrier service sharded across hosts (the CI matrix sets it).
+  const char* policy = std::getenv("MILLIPAGE_MANAGER_POLICY");
+  if (policy != nullptr && std::string(policy) == "sharded") {
+    cfg.manager_policy = ManagerPolicy::kSharded;
+  }
   return cfg;
 }
 
