@@ -11,6 +11,7 @@
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/dsm/node.h"
+#include "src/multiview/fault_index.h"
 #include "src/net/sim_transport.h"
 #include "src/os/fault_handler.h"
 #include "src/os/protection.h"
@@ -42,27 +43,6 @@ class SimRun {
     Status failure;
   };
 
-  struct Region {
-    uintptr_t base = 0;
-    size_t len = 0;
-    DsmNode* node = nullptr;
-    uint32_t view = 0;
-  };
-
-  static bool FaultTrampoline(void* ctx, void* addr, bool is_write) {
-    return static_cast<SimRun*>(ctx)->DispatchFault(addr, is_write);
-  }
-
-  bool DispatchFault(void* addr, bool is_write) {
-    const auto a = reinterpret_cast<uintptr_t>(addr);
-    for (const Region& r : regions_) {
-      if (a >= r.base && a < r.base + r.len) {
-        return r.node->OnFault(r.view, a - r.base, is_write);
-      }
-    }
-    return false;  // not ours: fall through to the default handler
-  }
-
   Status Setup();
   void WorkerMain(uint16_t h);
   bool ExecuteOp(uint16_t h, const SimOp& op, Status* failure);
@@ -84,8 +64,7 @@ class SimRun {
   std::unique_ptr<SimNet> net_;
   std::vector<std::unique_ptr<DsmNode>> nodes_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<Region> regions_;
-  int fault_slot_ = -1;
+  std::unique_ptr<FaultIndex<DsmNode>> faults_;
 
   // Written by the host-0 worker during kAlloc, read by every worker after
   // the first barrier (the barrier's semaphores order the accesses).
@@ -115,22 +94,14 @@ Status SimRun::Setup() {
 
   net_ = std::make_unique<SimNet>(workload_.hosts, seed_);
   nodes_.reserve(workload_.hosts);
+  faults_ = std::make_unique<FaultIndex<DsmNode>>();
   for (uint16_t h = 0; h < workload_.hosts; ++h) {
     MP_ASSIGN_OR_RETURN(std::unique_ptr<DsmNode> node,
                         DsmNode::Create(config, h, net_->endpoint(h)));
+    faults_->Add(node.get(), node->views());
     nodes_.push_back(std::move(node));
   }
-  for (auto& node : nodes_) {
-    ViewSet& vs = node->views();
-    for (uint32_t v = 0; v < vs.num_app_views(); ++v) {
-      regions_.push_back(Region{reinterpret_cast<uintptr_t>(vs.app_base(v)),
-                                vs.object_size(), node.get(), v});
-    }
-  }
-  fault_slot_ = FaultHandler::Instance().Register(&FaultTrampoline, this);
-  if (fault_slot_ < 0) {
-    return Status::Exhausted("no free fault-handler slots");
-  }
+  MP_RETURN_IF_ERROR(faults_->Register());
 
   cell_addr_.resize(workload_.cells);
   write_seq_.assign(workload_.hosts, 0);
@@ -448,10 +419,7 @@ void SimRun::Teardown() {
     }
   }
   workers_.clear();
-  if (fault_slot_ >= 0) {
-    FaultHandler::Instance().Unregister(fault_slot_);
-    fault_slot_ = -1;
-  }
+  faults_.reset();
   nodes_.clear();
   net_.reset();
 }

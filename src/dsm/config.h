@@ -5,8 +5,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 #include "src/common/host_set.h"
+#include "src/common/status.h"
 #include "src/multiview/allocator.h"
 #include "src/net/message.h"
 #include "src/net/transport_factory.h"
@@ -154,7 +156,32 @@ struct DsmConfig {
     o.page_based = page_based;
     return o;
   }
+
+  // OK when num_hosts fits the wire's host ids and `me` is one of them: the
+  // check every node type's Create runs first.
+  Status CheckHost(HostId me) const {
+    if (num_hosts == 0 || num_hosts > kMaxHosts) {
+      return Status::Invalid("num_hosts must be in [1, " + std::to_string(kMaxHosts) +
+                             "] (wire host ids are 10 bits)");
+    }
+    if (me >= num_hosts) {
+      return Status::Invalid("host id out of range");
+    }
+    return Status::Ok();
+  }
 };
+
+// The minipage a translated request or reply names. Non-manager hosts never
+// consult an MPT (the "thin layer" property): everything needed to adjust
+// protection travels in the header.
+inline Minipage MinipageFromHeader(const MsgHeader& h) {
+  Minipage mp;
+  mp.id = h.minipage;
+  mp.view = h.global_addr().view;
+  mp.offset = h.privbase;
+  mp.length = h.pgsize;
+  return mp;
+}
 
 }  // namespace millipage
 

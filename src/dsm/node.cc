@@ -16,32 +16,7 @@
 
 namespace millipage {
 
-// One cache entry. `syncs` counts the thread's Barrier/Lock/Unlock calls on
-// the node, for the write-intent prediction; it shares a cache line with the
-// uid every lookup reads, so a sync call touches no other predictor state.
-struct ThreadSlotEntry {
-  uint64_t uid = 0;
-  uint32_t slot = 0;
-  uint32_t syncs = 0;
-};
-
 namespace {
-
-// Per-thread (node -> wait slot) cache. A thread may talk to several nodes
-// in one process (the in-process cluster), so the cache is a tiny map.
-// Entries are keyed by a process-unique node id, not the pointer: a node at
-// a recycled address must not inherit a dead node's slot. A long-lived
-// thread (a test's main thread running RunOnManager on every cluster it
-// creates) can touch more nodes than fit, so a full cache recycles entries
-// round-robin instead of failing; returning to an evicted node just acquires
-// a fresh slot there.
-struct ThreadSlotCache {
-  static constexpr int kMax = 16;
-  ThreadSlotEntry e[kMax] = {};
-  int n = 0;
-  int next_evict = 0;
-};
-thread_local ThreadSlotCache tls_slots;
 
 // The simulator-pumped node whose step runs on this thread, if any.
 thread_local const DsmNode* tls_sim_step = nullptr;
@@ -64,13 +39,7 @@ class SimStep {
 
 Result<std::unique_ptr<DsmNode>> DsmNode::Create(const DsmConfig& config, HostId me,
                                                  Transport* transport) {
-  if (config.num_hosts == 0 || config.num_hosts > kMaxHosts) {
-    return Status::Invalid("DsmNode: num_hosts must be in [1, " + std::to_string(kMaxHosts) +
-                           "] (wire host ids are 10 bits)");
-  }
-  if (me >= config.num_hosts) {
-    return Status::Invalid("DsmNode: host id out of range");
-  }
+  MP_RETURN_IF_ERROR(config.CheckHost(me));
   auto node = std::unique_ptr<DsmNode>(new DsmNode(config, me, transport));
   MP_ASSIGN_OR_RETURN(node->views_, ViewSet::Create(config.object_size, config.num_views));
   node->views_->SetTrace(config.trace, me);
@@ -93,10 +62,6 @@ Result<std::unique_ptr<DsmNode>> DsmNode::Create(const DsmConfig& config, HostId
 DsmNode::DsmNode(const DsmConfig& config, HostId me, Transport* transport)
     : config_(config),
       me_(me),
-      uid_([] {
-        static std::atomic<uint64_t> next{1};
-        return next.fetch_add(1, std::memory_order_relaxed);
-      }()),
       transport_(transport) {
   auto init = std::make_unique<Membership>();
   init->live = HostSet::AllBelow(config.num_hosts);
@@ -123,28 +88,10 @@ void DsmNode::Stop() {
   transport_->SetPeerDownHandler(nullptr);
 }
 
-ThreadSlotEntry& DsmNode::ThreadEntry() {
-  ThreadSlotCache& c = tls_slots;
-  for (int i = 0; i < c.n; ++i) {
-    if (c.e[i].uid == uid_) {
-      return c.e[i];
-    }
-  }
-  int i;
-  if (c.n < ThreadSlotCache::kMax) {
-    i = c.n++;
-  } else {
-    i = c.next_evict;
-    c.next_evict = (c.next_evict + 1) % ThreadSlotCache::kMax;
-  }
-  c.e[i] = ThreadSlotEntry{uid_, slots_.Acquire(), 0};
-  return c.e[i];
-}
-
-uint32_t DsmNode::ThreadSlot() { return ThreadEntry().slot; }
+uint32_t DsmNode::ThreadSlot() { return slots_.ThreadEntry().slot; }
 
 uint32_t DsmNode::SyncSlot() {
-  ThreadSlotEntry& self = ThreadEntry();
+  ThreadSlotEntry& self = slots_.ThreadEntry();
   self.syncs++;
   return self.slot;
 }
@@ -201,17 +148,6 @@ void DsmNode::LogSendFailure(HostId to, const MsgHeader& h, const Status& st) {
     MP_LOG(Error) << "host " << me_ << ": send " << MsgTypeName(h.msg_type()) << " to host "
                   << to << " failed: " << st.ToString();
   }
-}
-
-Minipage DsmNode::MinipageFromHeader(const MsgHeader& h) const {
-  // Non-manager hosts never consult an MPT (the "thin layer" property):
-  // everything needed to adjust protection travels in the header.
-  Minipage mp;
-  mp.id = h.minipage;
-  mp.view = h.global_addr().view;
-  mp.offset = h.privbase;
-  mp.length = h.pgsize;
-  return mp;
 }
 
 // ---- Application API -----------------------------------------------------
@@ -460,7 +396,7 @@ bool DsmNode::OnFault(uint32_t view, uint64_t offset, bool is_write) {
   if (views_->RestoreFromShadow(view, offset, is_write)) {
     return true;  // already granted here: retry the access, no protocol round
   }
-  const ThreadSlotEntry& self = ThreadEntry();
+  const ThreadSlotEntry& self = slots_.ThreadEntry();
   const RmwPredictor::Decision d = rmw_[self.slot].OnFault(
       FaultHandler::FaultingPc(), view, offset / PageSize(), is_write, self.syncs);
   if (d.predicted) {
@@ -480,7 +416,7 @@ Status DsmNode::FaultService(uint32_t view, uint64_t offset, bool is_write) {
   } else {
     host_[&HostCounters::read_faults].Inc();
   }
-  const ThreadSlotEntry& self = ThreadEntry();
+  const ThreadSlotEntry& self = slots_.ThreadEntry();
   const uint64_t addr = GlobalAddr{view, offset}.Pack();
   Trace(TraceEventKind::kFaultStart, ~0u, addr, is_write ? 1 : 0);
   // Stream read-ahead (DESIGN.md §15) needs the ACK, as Prefetch does: each

@@ -51,8 +51,6 @@
 
 namespace millipage {
 
-struct ThreadSlotEntry;  // node.cc: the calling thread's wait slot on a node
-
 class DsmNode final : private Directory::Seam {
  public:
   // `transport` must outlive the node and already know all hosts.
@@ -108,11 +106,7 @@ class DsmNode final : private Directory::Seam {
   void CloseChunk();
 
   // Local pointer for a canonical address on this host.
-  std::byte* AppPtr(GlobalAddr a) const {
-    MP_CHECK(a.view < views_->num_app_views() && a.offset < views_->object_size())
-        << "bad canonical address view=" << a.view << " offset=" << a.offset;
-    return views_->AppAddr(a.view, a.offset);
-  }
+  std::byte* AppPtr(GlobalAddr a) const { return views_->AppAddr(a.view, a.offset); }
 
   void Barrier();
   void Lock(uint32_t lock_id);
@@ -279,9 +273,6 @@ class DsmNode final : private Directory::Seam {
  private:
   DsmNode(const DsmConfig& config, HostId me, Transport* transport);
 
-  // The calling thread's wait-slot cache entry for this node, acquiring a
-  // slot on first use.
-  ThreadSlotEntry& ThreadEntry();
   // ThreadSlot() for a Barrier, Lock or Unlock: also counts the call, which
   // ends any read-then-write pattern the write-intent prediction watches.
   uint32_t SyncSlot();
@@ -408,7 +399,6 @@ class DsmNode final : private Directory::Seam {
   // (reachable only with the ACK disabled — the race the ACK prevents).
   void Bounce(MsgHeader h);
 
-  Minipage MinipageFromHeader(const MsgHeader& h) const;
   // Server-side send: failures are logged and, for unreachable peers, turned
   // into a peer-down event; the server keeps serving the rest of the mesh.
   void SendMsg(HostId to, const MsgHeader& h, const void* payload = nullptr, size_t len = 0);
@@ -479,9 +469,6 @@ class DsmNode final : private Directory::Seam {
 
   const DsmConfig config_;
   const HostId me_;
-  // Process-unique id keying per-thread wait-slot caches (never reused, so
-  // a node allocated at a dead node's address cannot inherit its slots).
-  const uint64_t uid_;
   Transport* const transport_;
 
   // Per-node metric registry, the only store of this host's counters. Each

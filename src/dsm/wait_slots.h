@@ -47,6 +47,33 @@
 
 namespace millipage {
 
+// One entry of a thread's wait-slot cache: the calling thread's slot on the
+// node whose WaitSlots has id `uid`. `syncs` is the owner's per-thread count
+// (DsmNode counts Barrier/Lock/Unlock calls there, for the write-intent
+// prediction); it shares a cache line with the uid every lookup reads, so
+// counting touches nothing else (DESIGN.md §14).
+struct ThreadSlotEntry {
+  uint64_t uid = 0;
+  uint32_t slot = 0;
+  uint32_t syncs = 0;
+};
+
+// Per-thread (node -> wait slot) cache. A thread may talk to several nodes
+// in one process (the in-process cluster), so the cache is a tiny map.
+// Entries are keyed by a process-unique id, not the pointer: a node at a
+// recycled address must not inherit a dead node's slot. A long-lived thread
+// (a test's main thread running RunOnManager on every cluster it creates)
+// can touch more nodes than fit, so a full cache recycles entries
+// round-robin instead of failing; returning to an evicted node just acquires
+// a fresh slot there.
+struct ThreadSlotCache {
+  static constexpr int kMax = 16;
+  ThreadSlotEntry e[kMax] = {};
+  int n = 0;
+  int next_evict = 0;
+};
+inline constinit thread_local ThreadSlotCache tls_thread_slots;
+
 class WaitSlots {
  public:
   static constexpr uint32_t kMaxSlots = 64;
@@ -77,6 +104,26 @@ class WaitSlots {
     const uint32_t id = next_.fetch_add(1, std::memory_order_relaxed);
     MP_CHECK(id < kMaxSlots) << "too many threads per host";
     return id;
+  }
+
+  // The calling thread's cache entry for these slots, acquiring its slot on
+  // first use.
+  ThreadSlotEntry& ThreadEntry() {
+    ThreadSlotCache& c = tls_thread_slots;
+    for (int i = 0; i < c.n; ++i) {
+      if (c.e[i].uid == uid_) {
+        return c.e[i];
+      }
+    }
+    int i;
+    if (c.n < ThreadSlotCache::kMax) {
+      i = c.n++;
+    } else {
+      i = c.next_evict;
+      c.next_evict = (c.next_evict + 1) % ThreadSlotCache::kMax;
+    }
+    c.e[i] = ThreadSlotEntry{uid_, Acquire(), 0};
+    return c.e[i];
   }
 
   // Blocks until a reply for `slot` arrives; returns the oldest undelivered
@@ -273,6 +320,10 @@ class WaitSlots {
     return status;
   }
 
+  // Process-unique id keying the per-thread caches (never reused, so slots
+  // at a dead node's address are never mistaken for its).
+  static inline std::atomic<uint64_t> next_uid_{1};
+  const uint64_t uid_ = next_uid_.fetch_add(1, std::memory_order_relaxed);
   Slot slots_[kMaxSlots];
   Histogram* handoff_ = nullptr;
   std::atomic<uint32_t> next_{0};

@@ -1,22 +1,21 @@
-// In-process cluster for the LRC protocol, mirroring DsmCluster: every host
-// has its own memory object/views/protections; application threads take real
-// SIGSEGV faults; minipage masters live at their home hosts and diffs flow
-// at synchronization points.
+// In-process cluster for the LRC protocol: the in-process deployment
+// (InProcCluster, src/dsm/cluster.h) over LrcNode. Every host has its own
+// memory object/views/protections; application threads take real SIGSEGV
+// faults; minipage masters live at their home hosts and diffs flow at
+// synchronization points.
 
 #ifndef SRC_LRC_LRC_CLUSTER_H_
 #define SRC_LRC_LRC_CLUSTER_H_
 
-#include <functional>
-#include <memory>
-#include <vector>
-
+#include "src/dsm/cluster.h"
 #include "src/lrc/lrc_node.h"
-#include "src/net/inproc_transport.h"
 
 namespace millipage {
 
-// Thread-bound current LRC host (independent of the millipage TLS).
-void SetCurrentLrcNode(LrcNode* node);
+using LrcCluster = InProcCluster<LrcNode>;
+extern template class InProcCluster<LrcNode>;
+
+// Thread-bound current LRC host (independent of the millipage binding).
 LrcNode* CurrentLrcNode();
 
 // Typed shared pointer resolving through the current LRC host.
@@ -42,42 +41,6 @@ LrcPtr<T> LrcAlloc(size_t count = 1) {
   MP_CHECK(a.ok()) << a.status().ToString();
   return LrcPtr<T>(*a);
 }
-
-class LrcCluster {
- public:
-  static Result<std::unique_ptr<LrcCluster>> Create(const DsmConfig& config);
-  ~LrcCluster();
-
-  LrcCluster(const LrcCluster&) = delete;
-  LrcCluster& operator=(const LrcCluster&) = delete;
-
-  uint16_t num_hosts() const { return config_.num_hosts; }
-  LrcNode& node(HostId h) { return *nodes_[h]; }
-
-  void RunParallel(const std::function<void(LrcNode&, HostId)>& fn);
-  void RunOnManager(const std::function<void(LrcNode&)>& fn);
-
-  LrcCounters TotalCounters() const;
-
- private:
-  explicit LrcCluster(const DsmConfig& config) : config_(config) {}
-
-  static bool FaultTrampoline(void* ctx, void* addr, bool is_write);
-  bool DispatchFault(void* addr, bool is_write);
-
-  struct Region {
-    uintptr_t base = 0;
-    size_t len = 0;
-    LrcNode* node = nullptr;
-    uint32_t view = 0;
-  };
-
-  DsmConfig config_;
-  std::unique_ptr<InProcTransport> transport_;
-  std::vector<std::unique_ptr<LrcNode>> nodes_;
-  std::vector<Region> regions_;
-  int fault_slot_ = -1;
-};
 
 }  // namespace millipage
 

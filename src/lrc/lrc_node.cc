@@ -1,7 +1,6 @@
 #include "src/lrc/lrc_node.h"
 
 #include <cstring>
-#include <string>
 
 #include "src/common/logging.h"
 #include "src/os/page.h"
@@ -9,7 +8,6 @@
 namespace millipage {
 
 namespace {
-thread_local int tls_lrc_slot = -1;
 
 // A fetch's kind travels as its message type: a write fetch is a
 // kWriteRequest, answered with a kWriteReply.
@@ -21,13 +19,7 @@ MsgType FetchReplyType(const MsgHeader& request) {
 
 Result<std::unique_ptr<LrcNode>> LrcNode::Create(const DsmConfig& config, HostId me,
                                                  Transport* transport) {
-  if (config.num_hosts == 0 || config.num_hosts > kMaxHosts) {
-    return Status::Invalid("LrcNode: num_hosts must be in [1, " + std::to_string(kMaxHosts) +
-                           "] (wire host ids are 10 bits)");
-  }
-  if (me >= config.num_hosts) {
-    return Status::Invalid("LrcNode: host id out of range");
-  }
+  MP_RETURN_IF_ERROR(config.CheckHost(me));
   auto node = std::unique_ptr<LrcNode>(new LrcNode(config, me, transport));
   MP_ASSIGN_OR_RETURN(node->views_, ViewSet::Create(config.object_size, config.num_views));
   node->local_mpt_ = std::make_unique<MinipageTable>();
@@ -65,25 +57,11 @@ void LrcNode::Stop() {
   server_.join();
 }
 
-uint32_t LrcNode::ThreadSlot() {
-  if (tls_lrc_slot < 0) {
-    tls_lrc_slot = static_cast<int>(slots_.Acquire());
-  }
-  return static_cast<uint32_t>(tls_lrc_slot);
-}
+uint32_t LrcNode::ThreadSlot() { return slots_.ThreadEntry().slot; }
 
 void LrcNode::SendMsg(HostId to, const MsgHeader& h, const void* payload, size_t len) {
   stats_[&LrcCounters::messages_sent].Inc();
   MP_CHECK_OK(transport_->Send(to, h, payload, len));
-}
-
-Minipage LrcNode::MinipageFromHeader(const MsgHeader& h) const {
-  Minipage mp;
-  mp.id = h.minipage;
-  mp.view = h.global_addr().view;
-  mp.offset = h.privbase;
-  mp.length = h.pgsize;
-  return mp;
 }
 
 // ---- Application API ---------------------------------------------------------

@@ -122,6 +122,7 @@ class LrcNode final : private Directory::Seam {
   // ---- Introspection --------------------------------------------------------
 
   LrcCounters counters() const { return stats_.Read(); }
+  MetricsSnapshot SnapshotMetrics() const { return metrics_.Snapshot(); }
 
  private:
   LrcNode(const DsmConfig& config, HostId me, Transport* transport);
@@ -165,7 +166,6 @@ class LrcNode final : private Directory::Seam {
 
   uint32_t ThreadSlot();
   void SendMsg(HostId to, const MsgHeader& h, const void* payload = nullptr, size_t len = 0);
-  Minipage MinipageFromHeader(const MsgHeader& h) const;
 
   const DsmConfig config_;
   const HostId me_;

@@ -96,7 +96,7 @@ Status ViewSet::UffdTransition(uint32_t view, uint64_t first, uint64_t last, Pro
     return Status::Exhausted("uffd protect: injected failure (os.mapping.protect)");
   }
   FaultHandler& fh = FaultHandler::Instance();
-  std::byte* base = AppAddr(view, first * PageSize());
+  std::byte* base = app_base(view) + first * PageSize();
   const size_t len = (last - first + 1) * PageSize();
   if (to == Protection::kNoAccess) {
     return fh.UffdZapRange(base, len);
@@ -116,7 +116,7 @@ Status ViewSet::UffdInstall(uint32_t view, uint64_t first, uint64_t last, bool w
   size_t done = 0;
   for (;;) {
     size_t mapped = 0;
-    const Status st = fh.UffdContinue(AppAddr(view, off + done), len - done, write_protect,
+    const Status st = fh.UffdContinue(app_base(view) + off + done, len - done, write_protect,
                                       &mapped);
     done += mapped;
     if (st.ok() || (present_ok && st.code() == StatusCode::kAlreadyExists)) {

@@ -25,6 +25,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/common/metrics.h"
 #include "src/common/status.h"
 #include "src/common/trace.h"
@@ -53,8 +54,11 @@ class ViewSet {
   std::byte* priv_base() const { return priv_view_.base(); }
 
   // Application-view address of (view, object offset), and the privileged
-  // address of an object offset — the paper's addr2priv translation.
+  // address of an object offset — the paper's addr2priv translation. A
+  // (view, offset) outside the set is a bad canonical address: fatal.
   std::byte* AppAddr(uint32_t view, uint64_t offset) const {
+    MP_CHECK(view < app_views_.size() && offset < object_.size())
+        << "bad canonical address view=" << view << " offset=" << offset;
     return app_views_[view].base() + offset;
   }
   std::byte* PrivAddr(uint64_t offset) const { return priv_view_.base() + offset; }

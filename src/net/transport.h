@@ -1,13 +1,18 @@
 // Transport: the reliable, FIFO, message-boundary-preserving service the DSM
 // needs from its messaging layer (the role Illinois FastMessages plays in
-// the paper). Three implementations:
+// the paper). Five implementations:
 //   * InProcTransport  — per-host mailboxes inside one process (the
 //     in-process cluster mode);
 //   * SocketTransport  — AF_UNIX SOCK_SEQPACKET full mesh (one process per
 //     host, the paper's deployment shape);
 //   * UringTransport   — the same SEQPACKET mesh driven through io_uring:
 //     multishot receive with a registered buffer ring and batched send
-//     submission, so a burst of messages costs one syscall (or none).
+//     submission, so a burst of messages costs one syscall (or none);
+//   * SimEndpoint      — one host's port on SimNet, the deterministic
+//     simulator's fabric, where a seeded scheduler owns every delivery
+//     (sim_transport.h);
+//   * FaultyTransport  — a decorator over any of the above that injects
+//     delays, send errors, drops and peer deaths (faulty_transport.h).
 
 #ifndef SRC_NET_TRANSPORT_H_
 #define SRC_NET_TRANSPORT_H_

@@ -41,6 +41,8 @@ DsmConfig ChaosConfig(uint16_t hosts) {
   cfg.request_timeout_ms = 200;
   cfg.max_request_retries = 2;
   cfg.sync_timeout_ms = 2000;
+  // MILLIPAGE_FAULT_BACKEND=sigsegv re-runs it on the mprotect fallback.
+  cfg.fault_backend = FaultBackendFromEnv();
   return cfg;
 }
 

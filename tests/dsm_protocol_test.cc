@@ -22,6 +22,7 @@
 #include "src/dsm/cluster.h"
 #include "src/dsm/global_ptr.h"
 #include "src/dsm/node.h"
+#include "src/multiview/fault_index.h"
 #include "src/net/faulty_transport.h"
 #include "src/net/inproc_transport.h"
 #include "src/os/fault_handler.h"
@@ -1263,9 +1264,9 @@ class ScriptedTrio {
       Result<std::unique_ptr<DsmNode>> r = DsmNode::Create(cfg, h, t_[h].get());
       MP_CHECK(r.ok()) << r.status().ToString();
       n_[h] = std::move(*r);
+      faults_.Add(n_[h].get(), n_[h]->views());
     }
-    fault_slot_ = FaultHandler::Instance().Register(&Dispatch, this);
-    MP_CHECK(fault_slot_ >= 0);
+    MP_CHECK_OK(faults_.Register());
     for (auto& n : n_) {
       n->Start();
     }
@@ -1277,31 +1278,16 @@ class ScriptedTrio {
     for (int h = 2; h >= 0; --h) {
       n_[h]->Stop();
     }
-    FaultHandler::Instance().Unregister(fault_slot_);
   }
 
   DsmNode& node(HostId h) { return *n_[h]; }
   FaultyTransport& transport(HostId h) { return *t_[h]; }
 
  private:
-  static bool Dispatch(void* ctx, void* addr, bool is_write) {
-    const auto a = reinterpret_cast<uintptr_t>(addr);
-    for (auto& n : static_cast<ScriptedTrio*>(ctx)->n_) {
-      ViewSet& vs = n->views();
-      for (uint32_t v = 0; v < vs.num_app_views(); ++v) {
-        const auto base = reinterpret_cast<uintptr_t>(vs.app_base(v));
-        if (a >= base && a < base + vs.object_size()) {
-          return n->OnFault(v, a - base, is_write);
-        }
-      }
-    }
-    return false;
-  }
-
   InProcTransport inner_{3};
   std::unique_ptr<FaultyTransport> t_[3];
   std::unique_ptr<DsmNode> n_[3];
-  int fault_slot_ = -1;
+  FaultIndex<DsmNode> faults_;  // unregisters before the nodes go
 };
 
 void OnThread(const std::function<void()>& fn) { std::thread(fn).join(); }

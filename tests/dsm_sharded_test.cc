@@ -33,6 +33,9 @@ DsmConfig ShardedCfg(uint16_t hosts) {
   cfg.object_size = 1 << 20;
   cfg.num_views = 8;
   cfg.manager_policy = ManagerPolicy::kSharded;
+  // MILLIPAGE_FAULT_BACKEND=sigsegv re-runs the suite on the mprotect
+  // fallback (unset is the userfaultfd default).
+  cfg.fault_backend = FaultBackendFromEnv();
   return cfg;
 }
 

@@ -28,6 +28,8 @@ DsmConfig LrcConfig(uint16_t hosts, uint32_t chunking = 1, bool page_based = fal
   if (policy != nullptr && std::string(policy) == "sharded") {
     cfg.manager_policy = ManagerPolicy::kSharded;
   }
+  // MILLIPAGE_FAULT_BACKEND=sigsegv re-runs it on the mprotect fallback.
+  cfg.fault_backend = FaultBackendFromEnv();
   return cfg;
 }
 

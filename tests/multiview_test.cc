@@ -3,18 +3,22 @@
 // the page-based baseline).
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <atomic>
 #include <csetjmp>
 #include <csignal>
 #include <map>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/metrics.h"
 
 #include "src/multiview/allocator.h"
+#include "src/multiview/fault_index.h"
 #include "src/multiview/minipage.h"
 #include "src/multiview/static_layout.h"
 #include "src/multiview/view_set.h"
@@ -401,6 +405,82 @@ TEST(ViewSetTest, ResolveFindsViewAndOffset) {
   EXPECT_FALSE((*vs)->Resolve(&local, &view, &offset));
   // The privileged view is not an application view.
   EXPECT_FALSE((*vs)->Resolve((*vs)->PrivAddr(0), &view, &offset));
+}
+
+TEST(ViewSetDeathTest, AppAddrRejectsABadCanonicalAddress) {
+  auto vs = ViewSet::Create(PageSize() * 2, 4);
+  ASSERT_TRUE(vs.ok());
+  EXPECT_DEATH((void)(*vs)->AppAddr(4, 0), "bad canonical address view=4 offset=0");
+  EXPECT_DEATH((void)(*vs)->AppAddr(1, PageSize() * 2),
+               "bad canonical address view=1 offset=" + std::to_string(PageSize() * 2));
+}
+
+// The fault-address index over three hosts' real views, with no cluster: the
+// owner is a stand-in that only names its host.
+struct FakeHost {
+  uint16_t host;
+  uint16_t id() const { return host; }
+};
+
+TEST(FaultIndex, ResolvesViewBytesAndLeavesEverythingElse) {
+  constexpr size_t kObject = 4 * 4096;
+  FakeHost hosts[3] = {{0}, {1}, {2}};
+  std::vector<std::unique_ptr<ViewSet>> sets;
+  std::vector<void*> spacers;  // unindexed mappings between the hosts' views
+  FaultIndex<FakeHost> index;
+  for (FakeHost& h : hosts) {
+    auto vs = ViewSet::Create(kObject, 2);
+    ASSERT_TRUE(vs.ok());
+    index.Add(&h, **vs);
+    sets.push_back(std::move(*vs));
+    void* spacer = mmap(nullptr, 4 * kObject, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    ASSERT_NE(spacer, MAP_FAILED);
+    spacers.push_back(spacer);
+  }
+  const size_t object = sets[0]->object_size();
+
+  FaultIndex<FakeHost>::Hit hit;
+  for (int h = 0; h < 3; ++h) {
+    for (uint32_t v = 0; v < 2; ++v) {
+      const std::byte* base = sets[h]->app_base(v);
+      ASSERT_TRUE(index.Find(base, &hit)) << "host " << h << " view " << v;
+      EXPECT_EQ(hit.owner, &hosts[h]);
+      EXPECT_EQ(hit.view, v);
+      EXPECT_EQ(hit.offset, 0u);
+      ASSERT_TRUE(index.Find(base + object - 1, &hit));
+      EXPECT_EQ(hit.owner, &hosts[h]);
+      EXPECT_EQ(hit.view, v);
+      EXPECT_EQ(hit.offset, object - 1);
+    }
+  }
+
+  // Every view in address order: below the lowest, one past the highest,
+  // and a hole between two hosts' views are not ours.
+  struct View {
+    const std::byte* base;
+    int host;
+  };
+  std::vector<View> views;
+  for (int h = 0; h < 3; ++h) {
+    for (uint32_t v = 0; v < 2; ++v) {
+      views.push_back(View{sets[h]->app_base(v), h});
+    }
+  }
+  std::sort(views.begin(), views.end(),
+            [](const View& a, const View& b) { return a.base < b.base; });
+  EXPECT_FALSE(index.Find(views.front().base - 1, &hit));
+  EXPECT_FALSE(index.Find(views.back().base + object, &hit));
+  const std::byte* gap = nullptr;
+  for (size_t i = 0; i + 1 < views.size() && gap == nullptr; ++i) {
+    if (views[i].host != views[i + 1].host && views[i].base + object < views[i + 1].base) {
+      gap = views[i].base + object;
+    }
+  }
+  ASSERT_NE(gap, nullptr) << "no hole between two hosts' views";
+  EXPECT_FALSE(index.Find(gap, &hit));
+  for (void* spacer : spacers) {
+    munmap(spacer, 4 * kObject);
+  }
 }
 
 // A grant round over N contiguous vpages must collapse into ONE ranged

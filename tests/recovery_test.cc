@@ -40,6 +40,9 @@ DsmConfig RecoveryConfig(uint32_t num_hosts = 3) {
   cfg.request_timeout_ms = 200;
   cfg.max_request_retries = 3;
   cfg.sync_timeout_ms = 5000;
+  // MILLIPAGE_FAULT_BACKEND=sigsegv re-runs the suite on the mprotect
+  // fallback (unset is the userfaultfd default).
+  cfg.fault_backend = FaultBackendFromEnv();
   return cfg;
 }
 
